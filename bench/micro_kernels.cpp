@@ -7,9 +7,10 @@
 // `toy_device` profiles and the real-mode GCUPS numbers trace back to.
 //
 // After the google-benchmark run, a summary pass times each kernel on a
-// 1024x1024 block, prints a per-kernel GCUPS table with the speedup over
-// the scalar `row` reference, and records the run in a JSON file
-// (--kernels_json=PATH, default BENCH_kernels.json; empty disables).
+// large square block and on the engine's default 128x128 tile, prints
+// per-kernel GCUPS tables with the speedup over the scalar `row`
+// reference, and records the run in a JSON file (--kernels_json=PATH,
+// default BENCH_kernels.json; empty disables).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -374,11 +375,13 @@ void append_rate_section(base::JsonWriter& w,
 }
 
 struct SummaryShape {
-  /// Wide enough that the kLanes^2 scalar fill/drain triangles at each
-  /// strip end amortize away (a 1024-wide tile charges the 32-lane int8
-  /// kernel ~3% of its cells at scalar rate, inverting the avx2/sse42
-  /// order); engine tiles are this wide or wider.
+  /// Wide enough that each strip's kLanes-step fill and drain, which
+  /// run the vector step with part of the lanes masked, amortize away:
+  /// the steady-state rate.
   std::int64_t block_tile = 8192;
+  /// The engine's default block (chromosome_compare, batch_compare,
+  /// mgpusw-serve): the rate the default kernel is chosen by.
+  static constexpr std::int64_t engine_tile = 128;
   std::int64_t mega_rows = 512;
   std::int64_t mega_cols = std::int64_t{1} << 20;
   /// Wide tiles are the engine-realistic megabase shape: per-tile border
@@ -405,9 +408,22 @@ void run_kernel_summary(const std::string& json_path,
           std::to_string(shape.block_tile) + " block (simd dispatches to " +
           sw::active_simd_backend() + "; detected ISA " +
           sw::simd_isa_name(sw::detected_simd_isa()) + ")",
-      block_rates, std::string(sw::kDefaultKernel));
+      block_rates, "row");
 
-  // Section 2: megabase strip sweep — the dispatched kernels only (the
+  // Section 2: every registered kernel on the engine's default block,
+  // where per-strip fill/drain and per-block set-up weigh most.
+  std::vector<KernelRate> engine_rates;
+  for (const sw::KernelInfo& info : sw::kernel_registry()) {
+    engine_rates.push_back(
+        {info.name, measure_gcups(info.fn, shape.engine_tile, shape.reps)});
+  }
+  print_rate_table("Per-kernel GCUPS, " + std::to_string(shape.engine_tile) +
+                       "x" + std::to_string(shape.engine_tile) +
+                       " block (engine default; default kernel " +
+                       std::string(sw::kDefaultKernel) + ")",
+                   engine_rates, "row");
+
+  // Section 3: megabase strip sweep — the dispatched kernels only (the
   // pinned backend variants add nothing at this scale and each pass
   // covers half a gigacell).
   StripHarness strip(shape.mega_rows, shape.mega_cols,
@@ -426,7 +442,7 @@ void run_kernel_summary(const std::string& json_path,
                        "-col tiles",
                    mega_rates, "simd");
 
-  // Section 3: short-pair batch via the inter-sequence kernels. The
+  // Section 4: short-pair batch via the inter-sequence kernels. The
   // "scalar" entry is the per-pair intra-block SIMD kernel, i.e. what
   // the same batch costs without inter-sequence packing.
   BatchHarness batch(shape.batch_pairs, shape.batch_pair_len);
@@ -449,6 +465,11 @@ void run_kernel_summary(const std::string& json_path,
   w.key("block").begin_object();
   w.key("tile").value(shape.block_tile);
   append_rate_section(w, block_rates, "row");
+  w.end_object();
+  w.key("engine_tile").begin_object();
+  w.key("tile").value(shape.engine_tile);
+  w.key("default_kernel").value(sw::kDefaultKernel);
+  append_rate_section(w, engine_rates, "row");
   w.end_object();
   w.key("megabase").begin_object();
   w.key("rows").value(shape.mega_rows);
@@ -478,6 +499,7 @@ int main(int argc, char** argv) {
       json_path = argv[i] + 15;
     } else if (std::strncmp(argv[i], "--block_tile=", 13) == 0) {
       shape.block_tile = std::atoll(argv[i] + 13);
+
     } else if (std::strncmp(argv[i], "--mega_cols=", 12) == 0) {
       shape.mega_cols = std::atoll(argv[i] + 12);
     } else if (std::strncmp(argv[i], "--mega_tile_cols=", 17) == 0) {
@@ -495,6 +517,7 @@ int main(int argc, char** argv) {
     benchmark::RegisterBenchmark(("BM_BlockKernel/" + info.name).c_str(),
                                  BM_BlockKernel, info.fn)
         ->Arg(64)
+        ->Arg(128)
         ->Arg(256)
         ->Arg(1024);
   }

@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "base/error.hpp"
+#include "base/math.hpp"
 #include "base/time.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -101,12 +102,21 @@ void run_batch_item(const BatchConfig& config, DeviceFleet& fleet,
                     const BatchItem& item, BatchItemResult& entry) {
   MGPUSW_REQUIRE(config.devices_per_item >= 0,
                  "devices_per_item must be non-negative");
-  const std::size_t per_item = config.devices_per_item == 0
-                                   ? fleet.size()
-                                   : static_cast<std::size_t>(
-                                         config.devices_per_item);
-  MGPUSW_REQUIRE(per_item <= fleet.size(),
+  MGPUSW_REQUIRE(config.engine.block_cols > 0,
+                 "block_cols must be positive");
+  const std::size_t requested = config.devices_per_item == 0
+                                    ? fleet.size()
+                                    : static_cast<std::size_t>(
+                                          config.devices_per_item);
+  MGPUSW_REQUIRE(requested <= fleet.size(),
                  "devices_per_item exceeds fleet size");
+  // Every leased device needs at least one block column of its own, so
+  // a short subject leases fewer devices than asked for.
+  const auto block_columns = static_cast<std::size_t>(base::div_ceil(
+      static_cast<std::int64_t>(item.subject.size()),
+      config.engine.block_cols));
+  const std::size_t per_item =
+      std::max<std::size_t>(1, std::min(requested, block_columns));
   entry.label = item.label;
   // Item lifetime span: covers the lease wait, the run(s) and any
   // recovery retries, on the calling thread's track.

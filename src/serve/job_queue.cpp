@@ -179,6 +179,13 @@ void JobQueue::finish(const std::shared_ptr<Job>& job, JobState state,
   job->state = state;
   job->error = std::move(error_message);
   job->done_ns = steady_ns() - epoch_ns_;
+  // A daemon keeps every job it has served, so a finished job must not
+  // keep bases: they would grow memory, and each journal compaction,
+  // with the number of jobs served.
+  job->query = seq::Sequence{};
+  job->subject = seq::Sequence{};
+  std::string().swap(job->spec.query);
+  std::string().swap(job->spec.subject);
   quota_.on_finish(job->tenant);
   // The freed running slot may make another of this tenant's jobs
   // runnable.
@@ -233,6 +240,11 @@ std::shared_ptr<Job> JobQueue::find(std::int64_t job_id) {
 void JobQueue::wait_terminal(const std::shared_ptr<Job>& job) {
   std::unique_lock<std::mutex> lock(mu_);
   terminal_cv_.wait(lock, [&] { return is_terminal(job->state); });
+}
+
+SubmitRequest JobQueue::spec(const std::shared_ptr<Job>& job) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return job->spec;
 }
 
 JobStatus JobQueue::status(const std::shared_ptr<Job>& job) {

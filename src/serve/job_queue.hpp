@@ -144,8 +144,10 @@ class JobQueue {
   std::shared_ptr<Job> next();
 
   /// The scheduler finished running `job` (any outcome): settles the
-  /// tenant's running quota, stamps the terminal state, and wakes
-  /// RESULT waiters. `state` must be terminal.
+  /// tenant's running quota, stamps the terminal state, wakes RESULT
+  /// waiters, and releases the job's inputs — its sequences and the
+  /// spec's inline bases — which a terminal job never needs again (the
+  /// journal re-serves it from its outcome). `state` must be terminal.
   void finish(const std::shared_ptr<Job>& job, JobState state,
               std::string error_message = {});
 
@@ -166,6 +168,10 @@ class JobQueue {
 
   /// Snapshot of a job's wire status (everything but result_json).
   [[nodiscard]] JobStatus status(const std::shared_ptr<Job>& job);
+
+  /// Copy of a job's wire spec, taken under the queue lock because
+  /// finish() releases its inline bases.
+  [[nodiscard]] SubmitRequest spec(const std::shared_ptr<Job>& job);
 
   /// Stops admission and wakes every blocked next()/wait_terminal().
   /// Queued jobs are cancelled; running jobs get their cancel flag

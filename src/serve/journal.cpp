@@ -161,7 +161,7 @@ JournalRecord decode_record(const std::string& payload) {
       if (spec == nullptr || !spec->is_object()) {
         throw ProtocolError("journal submit record needs \"spec\"");
       }
-      record.spec = decode_submit(base::json::dump(*spec));
+      record.spec = decode_submit_fields(base::json::dump(*spec));
       break;
     }
     case JournalRecord::Kind::kStart:
@@ -224,6 +224,18 @@ std::string JobJournal::job_checkpoint_dir(std::int64_t job_id) const {
       directory_ + "/jobs/job_" + std::to_string(job_id);
   std::filesystem::create_directories(dir);
   return dir;
+}
+
+void JobJournal::remove_job_checkpoints(std::int64_t job_id) const {
+  std::error_code error;
+  std::filesystem::remove_all(
+      directory_ + "/jobs/job_" + std::to_string(job_id), error);
+  if (error) {
+    // The terminal record is already durable; a leftover directory only
+    // costs disk, so report it and carry on.
+    MGPUSW_LOG(kWarn) << "journal: cannot remove checkpoints of job "
+                      << job_id << ": " << error.message();
+  }
 }
 
 void JobJournal::write_header(int fd) const {
@@ -389,6 +401,15 @@ void JobJournal::append(const JournalRecord& record) {
 }
 
 void JobJournal::compact(const std::vector<JournalRecord>& snapshot) {
+  std::size_t next = 0;
+  compact([&snapshot, &next](JournalRecord& record) {
+    if (next == snapshot.size()) return false;
+    record = snapshot[next++];
+    return true;
+  });
+}
+
+void JobJournal::compact(const std::function<bool(JournalRecord&)>& next) {
   std::lock_guard lock(mu_);
   MGPUSW_REQUIRE(replayed_, "journal must be replayed before compacting");
   const std::string path = directory_ + "/journal.log";
@@ -397,7 +418,8 @@ void JobJournal::compact(const std::vector<JournalRecord>& snapshot) {
   if (fd < 0) throw IoError("cannot open " + tmp);
   try {
     write_header(fd);
-    for (const JournalRecord& record : snapshot) {
+    JournalRecord record;
+    while (next(record)) {
       const std::string payload = encode_record(record);
       RecordFrame frame;
       frame.length = static_cast<std::uint32_t>(payload.size());

@@ -124,17 +124,26 @@ class JobJournal {
   /// append() then cannot lose the record, only tear a later one.
   void append(const JournalRecord& record);
 
-  /// Atomically replaces the log with `snapshot` (tmp + fsync + rename)
-  /// and resets the appends-since-compaction counter. The caller builds
-  /// the snapshot under whatever lock makes it consistent; the journal
-  /// mutex is held for the whole rewrite, so concurrent appends queue
-  /// behind it.
+  /// Atomically replaces the log with a snapshot (tmp + fsync + rename)
+  /// and resets the appends-since-compaction counter. `next` produces
+  /// the snapshot one record at a time — it fills its argument and
+  /// returns true, or returns false after the last record — so the
+  /// rewrite holds one record however long the history. The journal
+  /// mutex is held for the whole rewrite, production included, so
+  /// concurrent appends queue behind it; `next` must not append.
+  void compact(const std::function<bool(JournalRecord&)>& next);
+  /// The same from a materialized snapshot.
   void compact(const std::vector<JournalRecord>& snapshot);
 
   [[nodiscard]] const std::string& directory() const { return directory_; }
   /// Directory for one job's special-row checkpoint files (created on
   /// demand): `<directory>/jobs/job_<id>`.
   [[nodiscard]] std::string job_checkpoint_dir(std::int64_t job_id) const;
+
+  /// Deletes one job's checkpoint directory, if any. Called once the
+  /// job's terminal record is journaled: replay re-serves a terminal job
+  /// from the log alone, so its checkpoints are dead weight.
+  void remove_job_checkpoints(std::int64_t job_id) const;
 
   [[nodiscard]] std::int64_t appends() const;
   [[nodiscard]] std::int64_t appends_since_compact() const;

@@ -109,7 +109,7 @@ std::string encode_submit(const SubmitRequest& request) {
   return w.str();
 }
 
-SubmitRequest decode_submit(const std::string& body) {
+SubmitRequest decode_submit_fields(const std::string& body) {
   const base::json::Value doc = parse_body(body);
   if (!doc.is_object()) throw ProtocolError("SUBMIT body must be an object");
   SubmitRequest request;
@@ -125,6 +125,11 @@ SubmitRequest decode_submit(const std::string& body) {
   request.cols = optional_int(doc, "cols", 0);
   request.seed = optional_int(doc, "seed", 1);
   request.idempotency_key = optional_string(doc, "key");
+  return request;
+}
+
+SubmitRequest decode_submit(const std::string& body) {
+  SubmitRequest request = decode_submit_fields(body);
   const bool inline_pair = !request.query.empty() && !request.subject.empty();
   const bool synth_pair = request.rows > 0 && request.cols > 0;
   if (inline_pair == synth_pair) {

@@ -144,6 +144,10 @@ struct ProgressUpdate {
 
 [[nodiscard]] std::string encode_submit(const SubmitRequest& request);
 [[nodiscard]] SubmitRequest decode_submit(const std::string& body);
+/// decode_submit without its pair check (inline bases XOR a synthetic
+/// rows+cols spec). The journal reads specs through it: a finished
+/// job's compacted SUBMIT carries no bases.
+[[nodiscard]] SubmitRequest decode_submit_fields(const std::string& body);
 
 /// {"job_id": N} — the body of STATUS / PROGRESS / CANCEL / SUBMIT_OK;
 /// RESULT adds {"wait": bool}.

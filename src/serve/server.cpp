@@ -234,6 +234,9 @@ void AlignServer::replay_journal() {
       }
       job->progress.rebalances = outcome.rebalances;
       queue_.restore(job);
+      // Left behind if the last life died between the terminal record
+      // and the directory's removal.
+      journal_->remove_job_checkpoints(job->id);
     } else if (record.cancel_requested) {
       // The cancel intent was journaled but the terminal never was (the
       // daemon died first). Honour it now, durably — the job never ran
@@ -244,7 +247,7 @@ void AlignServer::replay_journal() {
       JournalRecord terminal;
       terminal.kind = JournalRecord::Kind::kCancelled;
       terminal.job_id = job->id;
-      journal_append(terminal);
+      journal_terminal(*job, terminal);
       metrics_.counter("serve.jobs_cancelled").increment();
     } else {
       // Queued or mid-flight: rebuild the sequences from the spec and
@@ -263,7 +266,7 @@ void AlignServer::replay_journal() {
         terminal.kind = JournalRecord::Kind::kFailed;
         terminal.job_id = job->id;
         terminal.error = job->error;
-        journal_append(terminal);
+        journal_terminal(*job, terminal);
         metrics_.counter("serve.jobs_failed").increment();
         ++replayed_jobs_;
         continue;
@@ -302,13 +305,22 @@ void AlignServer::replay_journal() {
   metrics_.gauge("serve.queue_depth").set(queue_.depth());
 }
 
-void AlignServer::journal_append(const JournalRecord& record) {
+bool AlignServer::journal_append(const JournalRecord& record) {
   if (journal_ == nullptr ||
       journal_frozen_.load(std::memory_order_acquire)) {
-    return;
+    return false;
   }
   journal_->append(record);
   metrics_.counter("serve.journal_appends").increment();
+  return true;
+}
+
+void AlignServer::journal_terminal(Job& job, const JournalRecord& terminal) {
+  // Replay re-serves a journaled terminal from the log alone, so the
+  // checkpoints only matter while the terminal is not yet durable.
+  if (!journal_append(terminal)) return;
+  job.checkpoints.reset();
+  journal_->remove_job_checkpoints(job.id);
 }
 
 void AlignServer::maybe_journal_checkpoint(
@@ -356,26 +368,36 @@ void AlignServer::maybe_compact() {
     return;
   }
   const std::vector<std::shared_ptr<Job>> jobs = queue_.all_jobs();
-  std::int64_t terminal = 0;
-  std::vector<JournalRecord> snapshot;
-  snapshot.reserve(jobs.size() * 2);
+  // Only worth the rewrite when most of the log is settled history;
+  // running jobs count as reclaimable too (their records re-shrink).
+  std::int64_t settled = 0;
   for (const std::shared_ptr<Job>& job : jobs) {
-    const JobStatus status = queue_.status(job);
+    if (queue_.status(job).state != JobState::kQueued) ++settled;
+  }
+  if (settled * 2 < static_cast<std::int64_t>(jobs.size())) return;
+
+  // The snapshot is produced one job at a time while the journal writes
+  // it, so a compaction holds one job's records, not the whole history.
+  const auto job_records = [this](const std::shared_ptr<Job>& job,
+                                  std::vector<JournalRecord>& out) {
+    // Spec before status: finish() releases the inline bases as the job
+    // turns terminal, so a spec without them always pairs with a
+    // terminal status below, whose replay needs no bases.
     JournalRecord submit;
     submit.kind = JournalRecord::Kind::kSubmit;
     submit.job_id = job->id;
-    submit.spec = job->spec;
-    snapshot.push_back(std::move(submit));
+    submit.spec = queue_.spec(job);
+    const JobStatus status = queue_.status(job);
+    out.push_back(std::move(submit));
     JournalRecord fact;
     fact.job_id = job->id;
     switch (status.state) {
       case JobState::kQueued:
-        continue;  // the SUBMIT alone re-enqueues it
+        return;  // the SUBMIT alone re-enqueues it
       case JobState::kRunning:
       case JobState::kCompleting: {
-        ++terminal;  // counts as reclaimable: its records re-shrink
         fact.kind = JournalRecord::Kind::kStart;
-        snapshot.push_back(fact);
+        out.push_back(fact);
         JournalRecord checkpoint;
         checkpoint.kind = JournalRecord::Kind::kCheckpoint;
         checkpoint.job_id = job->id;
@@ -386,17 +408,16 @@ void AlignServer::maybe_compact() {
           checkpoint.best_row = job->progress.durable_best.end.row;
           checkpoint.best_col = job->progress.durable_best.end.col;
         }
-        if (checkpoint.row >= 0) snapshot.push_back(std::move(checkpoint));
+        if (checkpoint.row >= 0) out.push_back(std::move(checkpoint));
         if (job->cancel.load(std::memory_order_relaxed)) {
           JournalRecord intent;
           intent.kind = JournalRecord::Kind::kCancel;
           intent.job_id = job->id;
-          snapshot.push_back(std::move(intent));
+          out.push_back(std::move(intent));
         }
-        continue;
+        return;
       }
       case JobState::kDone:
-        ++terminal;
         fact.kind = JournalRecord::Kind::kDone;
         fact.score = status.score;
         fact.result_json = job->replayed
@@ -404,12 +425,10 @@ void AlignServer::maybe_compact() {
                                : core::to_json(job->entry.result);
         break;
       case JobState::kFailed:
-        ++terminal;
         fact.kind = JournalRecord::Kind::kFailed;
         fact.error = job->error;
         break;
       case JobState::kCancelled:
-        ++terminal;
         fact.kind = JournalRecord::Kind::kCancelled;
         break;
     }
@@ -417,11 +436,21 @@ void AlignServer::maybe_compact() {
     fact.rebalances = status.rebalances;
     fact.lost_devices = status.lost_devices;
     fact.resumed_row = status.resumed_row;
-    snapshot.push_back(std::move(fact));
-  }
-  // Only worth the rewrite when most of the log is settled history.
-  if (terminal * 2 < static_cast<std::int64_t>(jobs.size())) return;
-  journal_->compact(snapshot);
+    out.push_back(std::move(fact));
+  };
+  std::size_t next_job = 0;
+  std::vector<JournalRecord> pending;
+  std::size_t next_pending = 0;
+  journal_->compact([&](JournalRecord& record) {
+    while (next_pending == pending.size()) {
+      if (next_job == jobs.size()) return false;
+      pending.clear();
+      next_pending = 0;
+      job_records(jobs[next_job++], pending);
+    }
+    record = std::move(pending[next_pending++]);
+    return true;
+  });
   metrics_.counter("serve.journal_compactions").increment();
 }
 
@@ -432,9 +461,19 @@ void AlignServer::accept_loop() {
     auto stream = std::make_shared<comm::TcpStream>(std::move(*accepted));
     std::lock_guard<std::mutex> lock(connections_mu_);
     if (stopping_.load(std::memory_order_acquire)) return;
+    // Reap the connections that have ended since the last accept, so a
+    // daemon serving one-command clients holds a descriptor and a
+    // thread per *open* connection, not per connection ever made.
+    std::erase_if(connections_, [](Connection& done) {
+      if (!done.finished->load(std::memory_order_acquire)) return false;
+      done.thread.join();
+      return true;
+    });
     Connection connection;
     connection.stream = stream;
-    connection.thread = std::thread([this, stream] {
+    connection.finished = std::make_shared<std::atomic<bool>>(false);
+    connection.thread = std::thread([this, stream,
+                                     finished = connection.finished] {
       try {
         handle_connection(*stream);
       } catch (const std::exception& e) {
@@ -443,6 +482,7 @@ void AlignServer::accept_loop() {
       } catch (...) {
         MGPUSW_LOG(kWarn) << "serve: connection dropped";
       }
+      finished->store(true, std::memory_order_release);
     });
     connections_.push_back(std::move(connection));
   }
@@ -569,7 +609,11 @@ bool AlignServer::dispatch(comm::TcpStream& stream,
           // the scheduler when they actually stop.
           metrics_.counter("serve.jobs_cancelled").increment();
           record.kind = JournalRecord::Kind::kCancelled;
-          journal_append(record);
+          // A job replayed mid-flight still has its last life's
+          // checkpoints on disk.
+          if (journal_append(record)) {
+            journal_->remove_job_checkpoints(job_id);
+          }
         } else if (after == JobState::kRunning) {
           // Intent only: the scheduler journals the terminal when the
           // engine actually stops. If the daemon dies first, replay
@@ -670,10 +714,13 @@ void AlignServer::handle_submit(comm::TcpStream& stream,
   }
   // Write-ahead: the SUBMIT record hits the log before the client sees
   // SUBMIT_OK, so an acknowledged job can never vanish in a crash.
+  // The request, not job->spec: a scheduler may already have run the
+  // job to its end and released the spec's bases.
   JournalRecord record;
   record.kind = JournalRecord::Kind::kSubmit;
   record.job_id = job->id;
-  record.spec = job->spec;
+  record.spec = request;
+  record.spec.label = job->label;  // journal the defaulted label
   journal_append(record);
   metrics_.counter("serve.jobs_accepted").increment();
   metrics_.gauge("serve.queue_depth").set(queue_.depth());
@@ -822,13 +869,13 @@ void AlignServer::run_job(const std::shared_ptr<Job>& job) {
     terminal.lost_devices = job->entry.lost_devices;
     if (job->cancel.load(std::memory_order_relaxed)) {
       terminal.kind = JournalRecord::Kind::kCancelled;
-      journal_append(terminal);
+      journal_terminal(*job, terminal);
       metrics_.counter("serve.jobs_cancelled").increment();
       queue_.finish(job, JobState::kCancelled);
     } else {
       terminal.kind = JournalRecord::Kind::kFailed;
       terminal.error = e.what();
-      journal_append(terminal);
+      journal_terminal(*job, terminal);
       metrics_.counter("serve.jobs_failed").increment();
       queue_.finish(job, JobState::kFailed, e.what());
     }
@@ -845,7 +892,7 @@ void AlignServer::run_job(const std::shared_ptr<Job>& job) {
   terminal.rebalances = job->progress_update().rebalances;
   terminal.lost_devices = job->entry.lost_devices;
   terminal.result_json = core::to_json(job->entry.result);
-  journal_append(terminal);
+  journal_terminal(*job, terminal);
   metrics_.counter("serve.jobs_completed").increment();
   queue_.finish(job, JobState::kDone);
   metrics_.histogram("serve.submit_to_done_ms")

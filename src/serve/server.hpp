@@ -133,6 +133,9 @@ class AlignServer {
   struct Connection {
     std::shared_ptr<comm::TcpStream> stream;
     std::thread thread;
+    /// Set by the handler thread as its last act; the accept loop then
+    /// joins it and drops the stream, closing the descriptor.
+    std::shared_ptr<std::atomic<bool>> finished;
   };
 
   void accept_loop();
@@ -157,8 +160,12 @@ class AlignServer {
   /// immediately queryable, everything else re-enqueues (mid-flight
   /// jobs with a ResumeSpec probed from their checkpoint store).
   void replay_journal();
-  /// Appends one record unless the journal is absent or frozen.
-  void journal_append(const JournalRecord& record);
+  /// Appends one record unless the journal is absent or frozen; returns
+  /// whether it did.
+  bool journal_append(const JournalRecord& record);
+  /// Journals a job's terminal record (DONE, FAILED or CANCELLED) and,
+  /// once it is durable, deletes the job's checkpoint directory.
+  void journal_terminal(Job& job, const JournalRecord& terminal);
   /// Journals the job's durable (row, best) pair if it advanced and the
   /// per-job checkpoint interval elapsed (force skips the throttle).
   void maybe_journal_checkpoint(const std::shared_ptr<Job>& job,

@@ -13,15 +13,22 @@
 //   up    (H, F)  = lane r-1 at step t-1  (one-lane shift-in)
 //   diag  (H)     = lane r-1 at step t-2  (one-lane shift-in)
 //
-// with lane 0 fed from the strip-above rolling row (row_h/row_f) and the
-// j == 0 column fed from the block's left border. The strip's triangular
-// fill (t < 8) and drain (t >= cols-1) run scalar on the same lane-state
-// arrays; the rectangular steady state runs eight cells per iteration on
-// the Vec8 shim. The subject character for lane r is subject[t - r] —
-// a reversed window maintained with the same shift-in rotation — so the
-// per-cell `match or mismatch` branch becomes cmpeq + blend against the
-// per-strip query vector (the 2-bit query profile reduces to this exact
-// lane-select for a 4-letter alphabet, no gather needed).
+// with lane 0 fed from the strip-above rolling row (row_h/row_f). Every
+// step of the strip — the triangular fill (t < 8), the rectangular
+// steady state and the triangular drain (t >= cols-1) — runs eight cells
+// per iteration on the Vec8 shim. Lane r is active while 0 <= t-r < cols;
+// the fill and drain steps carry that as a lane mask (lane 0 is active
+// while t < cols, lane r follows lane r-1 one step later). A lane that
+// has not started yet holds its left-border (H, E), so at t == r it
+// reads exactly its j == 0 inputs, and lane r+1's j == 0 diagonal is
+// lane r's held H; a retired lane holds its j == cols-1 values, so the
+// strip's right border is the lane state after the last step. The
+// subject character for lane r is subject[t - r] — a reversed window,
+// padded by kL sentinels on each side so the edge steps' inactive lanes
+// load in bounds — so the per-cell `match or mismatch` branch becomes
+// cmpeq + blend against the per-strip query vector (the 2-bit query
+// profile reduces to this exact lane-select for a 4-letter alphabet, no
+// gather needed).
 //
 // Best-cell tracking and border_max fold into the loops: per-lane running
 // row maxima use strict '>' (keeping the smallest column), the cross-row
@@ -29,13 +36,14 @@
 // row), and the bottom-row maximum of the last strip is the last lane's
 // row maximum — bit-identical to sw::compute_block, including ties.
 //
-// Geometry guard: blocks narrower/shorter than the lane count (plus row
-// remainders < 8) delegate to compute_block, which is the parity oracle,
-// so every geometry stays exact.
+// Geometry guard: blocks shorter than one strip, and the remainder rows
+// (< 8) below the last full strip, delegate to compute_block, which is
+// the parity oracle, so every geometry stays exact.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "base/error.hpp"
@@ -48,171 +56,124 @@ namespace {
 
 constexpr int kL = kSimdLanes;
 
-/// One full 8-row strip: scalar fill, vector steady state, scalar drain.
-/// rev_subject[k] == subject[cols-1-k], so the steady state's reversed
-/// subject window (lane r wants subject[t-r]) is a plain vector load.
+/// Sentinel padding on each side of the reversed subject: the edge steps'
+/// inactive lanes load up to kL-1 codes past either end of the window.
+/// No base code equals the sentinel.
+constexpr Score kRevSubjectPad = -1;
+
+/// One full 8-row strip, every step on the vector path.
+/// rev_subject[k] == subject[cols-1-k] for 0 <= k < cols, with kL
+/// readable sentinels on each side, so lane r's subject[t-r] is one
+/// plain vector load at every step.
 void process_strip(const ScoreScheme& scheme, const BlockArgs& args,
                    const Score* rev_subject, std::int64_t i0, Score* row_h,
                    Score* row_f, Score strip_diag0, bool last_strip,
                    ScoreResult& best, Score& border_max) {
   const std::int64_t cols = args.cols;
-  const Score gap_first = scheme.gap_first();
-  const Score gap_ext = scheme.gap_extend;
-  const Score match = scheme.match;
-  const Score mismatch = scheme.mismatch;
 
-  // Left border and query codes captured before the drain overwrites the
-  // (possibly aliased) left/right arrays.
-  alignas(32) Score left_h_b[kL];
-  alignas(32) Score left_e_b[kL];
-  alignas(32) Score qcode[kL];
+  // Left border and query codes captured before the strip's right border
+  // overwrites the (possibly aliased) left/right arrays.
+  const Vec8 v_left_h = v_load(args.left_h + i0);
+  const Vec8 v_left_e = v_load(args.left_e + i0);
+  alignas(32) Score lanes[kL];
   for (int r = 0; r < kL; ++r) {
-    left_h_b[r] = args.left_h[i0 + r];
-    left_e_b[r] = args.left_e[i0 + r];
-    qcode[r] = static_cast<Score>(args.query[i0 + r]);
+    lanes[r] = static_cast<Score>(args.query[i0 + r]);
   }
+  const Vec8 vq = v_load(lanes);
+  for (int r = 0; r < kL; ++r) lanes[r] = -1 - r;  // j at step -1
+  Vec8 vj = v_load(lanes);
 
-  // Rolling lane state: lane r holds its values from the previous step
-  // (h/e/f_prev) and the step before (h_prev2). Zero-initialised so the
-  // not-yet-active lanes never read indeterminate values.
-  alignas(32) Score h_prev[kL] = {};
-  alignas(32) Score h_prev2[kL] = {};
-  alignas(32) Score e_prev[kL] = {};
-  alignas(32) Score f_prev[kL] = {};
-  alignas(32) Score best_h[kL];
-  alignas(32) Score best_j[kL];
-  for (int r = 0; r < kL; ++r) {
-    best_h[r] = -1;  // strictly below any reachable H (H >= 0)
-    best_j[r] = -1;
-  }
-
-  // One skewed step for lanes [r_lo, r_hi], scalar. Descending r keeps
-  // the in-place lane rotation safe: lane r reads lane r-1's previous-
-  // step values before lane r-1 overwrites them.
-  const auto scalar_step = [&](std::int64_t t, int r_lo, int r_hi) {
-    for (int r = r_hi; r >= r_lo; --r) {
-      const std::int64_t j = t - r;
-      const Score lh = j == 0 ? left_h_b[r] : h_prev[r];
-      const Score le = j == 0 ? left_e_b[r] : e_prev[r];
-      const Score uh = r == 0 ? row_h[j] : h_prev[r - 1];
-      const Score uf = r == 0 ? row_f[j] : f_prev[r - 1];
-      Score dg;
-      if (r == 0) {
-        dg = j == 0 ? strip_diag0 : row_h[j - 1];
-      } else {
-        dg = j == 0 ? left_h_b[r - 1] : h_prev2[r - 1];
-      }
-
-      const Score e = std::max<Score>(le - gap_ext, lh - gap_first);
-      const Score f = std::max<Score>(uf - gap_ext, uh - gap_first);
-      Score h = dg + (qcode[r] == static_cast<Score>(args.subject[j])
-                          ? match
-                          : mismatch);
-      if (h < e) h = e;
-      if (h < f) h = f;
-      if (h < 0) h = 0;
-
-      h_prev2[r] = h_prev[r];
-      h_prev[r] = h;
-      e_prev[r] = e;
-      f_prev[r] = f;
-
-      if (r == kL - 1) {  // strip bottom row -> rolling row arrays
-        row_h[j] = h;
-        row_f[j] = f;
-      }
-      if (j == cols - 1) {  // block right border
-        args.right_h[i0 + r] = h;
-        args.right_e[i0 + r] = e;
-        border_max = std::max(border_max, h);
-      }
-      if (h > best_h[r]) {
-        best_h[r] = h;
-        best_j[r] = static_cast<Score>(j);
-      }
-    }
-  };
-
-  // --- fill: steps 0 .. kL-1, lane r activates at t == r -------------
-  for (std::int64_t t = 0; t < kL; ++t) {
-    scalar_step(t, 0, static_cast<int>(t));
-  }
-
-  // --- steady state: steps kL .. cols-2, all lanes interior ----------
-  Vec8 vh_prev = v_load(h_prev);
-  Vec8 vh_prev2 = v_load(h_prev2);
-  Vec8 ve_prev = v_load(e_prev);
-  Vec8 vf_prev = v_load(f_prev);
-  Vec8 vbest_h = v_load(best_h);
-  Vec8 vbest_j = v_load(best_j);
-  const Vec8 vq = v_load(qcode);
-  alignas(32) Score scratch[kL];
-  for (int r = 0; r < kL; ++r) scratch[r] = kL - 1 - r;  // j at step kL-1
-  Vec8 vj = v_load(scratch);
-  // diag(t) equals up_h(t-1) — vh_prev(t-1) is vh_prev2(t) — so the
-  // diagonal shift-in is carried from the previous iteration instead of
-  // recomputed; only the seed needs an explicit shift.
-  Vec8 vdiag_carry = v_shift_in(vh_prev2, row_h[kL - 1]);
-
-  const Vec8 v_gap_ext = v_broadcast(gap_ext);
-  const Vec8 v_gap_first = v_broadcast(gap_first);
-  const Vec8 v_match = v_broadcast(match);
-  const Vec8 v_mismatch = v_broadcast(mismatch);
+  const Vec8 v_gap_ext = v_broadcast(scheme.gap_extend);
+  const Vec8 v_gap_first = v_broadcast(scheme.gap_first());
+  const Vec8 v_match = v_broadcast(scheme.match);
+  const Vec8 v_mismatch = v_broadcast(scheme.mismatch);
   const Vec8 v_zero = v_broadcast(0);
   const Vec8 v_one = v_broadcast(1);
+  const Vec8 v_below = v_broadcast(-1);  // strictly below any H (H >= 0)
 
-  for (std::int64_t t = kL; t <= cols - 2; ++t) {
-    // Strip-above row values at column t / t-1; the lane-7 writes below
+  // Lane state after the previous step. Not-yet-started lanes hold their
+  // left border; F is only ever read from an active lane.
+  Vec8 vh_prev = v_left_h;
+  Vec8 ve_prev = v_left_e;
+  Vec8 vf_prev = v_zero;
+  // diag(t) equals up_h(t-1), so the diagonal shift-in is carried from
+  // the previous step; lane 0's first diagonal is the strip corner.
+  Vec8 vdiag_carry = v_shift_in(v_left_h, strip_diag0);
+  Vec8 vactive = v_zero;  // all-ones on lanes with 0 <= t-r < cols
+  Vec8 vbest_h = v_below;
+  Vec8 vbest_j = v_below;
+
+  // One skewed step. The edge form (fill and drain) masks the lanes
+  // outside the block: they keep their held state and never reach the
+  // best tracking. The steady form (kL <= t <= cols-2) has every lane
+  // active and skips the mask.
+  const auto step = [&](auto edge, std::int64_t t) {
+    constexpr bool kEdge = decltype(edge)::value;
+    // Lane 0 sits at column t; past the right edge it has retired and
+    // its inputs are never used, so it must not load past the row.
+    const bool lane0_active = !kEdge || t < cols;
+    // Strip-above row values at column t; the last lane's writes below
     // trail the lane-0 reads by kL-1 columns, so these are still the
     // previous strip's values.
-    const Vec8 vup_h = v_shift_in(vh_prev, row_h[t]);
-    const Vec8 vup_f = v_shift_in(vf_prev, row_f[t]);
-    const Vec8 vdiag = vdiag_carry;
-    const Vec8 ve =
-        v_max(v_sub(ve_prev, v_gap_ext), v_sub(vh_prev, v_gap_first));
+    const Vec8 vup_h = v_shift_in(vh_prev, lane0_active ? row_h[t] : 0);
+    const Vec8 vup_f = v_shift_in(vf_prev, lane0_active ? row_f[t] : 0);
+    Vec8 ve = v_max(v_sub(ve_prev, v_gap_ext), v_sub(vh_prev, v_gap_first));
     const Vec8 vf =
         v_max(v_sub(vup_f, v_gap_ext), v_sub(vup_h, v_gap_first));
     const Vec8 vs = v_load(rev_subject + (cols - 1 - t));
     const Vec8 vsub = v_blend(v_mismatch, v_match, v_cmpeq(vq, vs));
-    Vec8 vh = v_add(vdiag, vsub);
+    Vec8 vh = v_add(vdiag_carry, vsub);
     vh = v_max(vh, ve);
     vh = v_max(vh, vf);
     vh = v_max(vh, v_zero);
-
-    row_h[t - (kL - 1)] = v_extract_last(vh);
-    row_f[t - (kL - 1)] = v_extract_last(vf);
-
     vj = v_add(vj, v_one);
-    // Best tracking, narrow-kernel style: the compare reads the
-    // pre-update running max, then the max itself is a plain max — one
-    // uop against a blend's two on the shuffle-starved front end. Only
-    // the column offset needs the mask blend.
-    const Vec8 vgt = v_cmpgt(vh, vbest_h);
-    vbest_h = v_max(vbest_h, vh);
+
+    Vec8 vh_seen = vh;
+    if constexpr (kEdge) {
+      vactive = v_shift_in(vactive, lane0_active ? -1 : 0);
+      vh_seen = v_blend(v_below, vh, vactive);
+      vh = v_blend(vh_prev, vh, vactive);
+      ve = v_blend(ve_prev, ve, vactive);
+    }
+    // The last lane writes its cell back to the rolling row once it has
+    // started (it never retires before the strip's last step).
+    if (!kEdge || t >= kL - 1) {
+      row_h[t - (kL - 1)] = v_extract_last(vh);
+      row_f[t - (kL - 1)] = v_extract_last(vf);
+    }
+
+    // Best tracking: the compare reads the pre-update running max, then
+    // the max itself is a plain max — one uop against a blend's two on
+    // the shuffle-starved front end. Only the column needs the blend.
+    const Vec8 vgt = v_cmpgt(vh_seen, vbest_h);
+    vbest_h = v_max(vbest_h, vh_seen);
     vbest_j = v_blend(vbest_j, vj, vgt);
 
-    vh_prev2 = vh_prev;
     vh_prev = vh;
     ve_prev = ve;
     vf_prev = vf;
     vdiag_carry = vup_h;
-  }
+  };
 
-  v_store(h_prev, vh_prev);
-  v_store(h_prev2, vh_prev2);
-  v_store(e_prev, ve_prev);
-  v_store(f_prev, vf_prev);
-  v_store(best_h, vbest_h);
-  v_store(best_j, vbest_j);
+  std::int64_t t = 0;
+  for (; t < kL; ++t) step(std::true_type{}, t);
+  for (; t <= cols - 2; ++t) step(std::false_type{}, t);
+  for (; t <= cols + kL - 2; ++t) step(std::true_type{}, t);
 
-  // --- drain: steps cols-1 .. cols+kL-2, lane r retires at t-r==cols -
-  for (std::int64_t t = cols - 1; t <= cols + kL - 2; ++t) {
-    scalar_step(t, static_cast<int>(std::max<std::int64_t>(0, t - (cols - 1))),
-                kL - 1);
+  // Every lane has retired holding its j == cols-1 values: the strip's
+  // right border, and its share of the block's border maximum.
+  v_store(args.right_h + i0, vh_prev);
+  v_store(args.right_e + i0, ve_prev);
+  for (int r = 0; r < kL; ++r) {
+    border_max = std::max(border_max, args.right_h[i0 + r]);
   }
 
   // Cross-row reduction in ascending row order: strictly larger row
   // maxima only, so earlier rows win ties exactly as in compute_block.
+  alignas(32) Score best_h[kL];
+  alignas(32) Score best_j[kL];
+  v_store(best_h, vbest_h);
+  v_store(best_j, vbest_j);
   for (int r = 0; r < kL; ++r) {
     if (best_h[r] > best.score) {
       best.score = best_h[r];
@@ -238,11 +199,10 @@ BlockResult compute_block_simd_impl(const ScoreScheme& scheme,
   MGPUSW_CHECK(args.bottom_h != nullptr && args.bottom_f != nullptr);
   MGPUSW_CHECK(args.right_h != nullptr && args.right_e != nullptr);
 
-  // Blocks without a vectorisable steady state (and the pathological
-  // > 2^30 case where a column index would not fit the int32 lane type)
-  // delegate to the scalar row kernel — the parity oracle.
-  if (args.rows < kL || args.cols < 2 * kL ||
-      args.cols > (std::int64_t{1} << 30) ||
+  // Blocks shorter than one strip (and the pathological > 2^30 case
+  // where a column index would not fit the int32 lane type) delegate to
+  // the scalar row kernel — the parity oracle.
+  if (args.rows < kL || args.cols > (std::int64_t{1} << 30) ||
       args.rows > (std::int64_t{1} << 30)) {
     return compute_block(scheme, args);
   }
@@ -259,11 +219,13 @@ BlockResult compute_block_simd_impl(const ScoreScheme& scheme,
   Score* const row_f = args.bottom_f;
 
   // Subject codes reversed once per block (shared by every strip): turns
-  // the steady state's per-step window rotation into one vector load.
+  // the per-step window rotation into one vector load. kL sentinels on
+  // each side keep the edge steps' loads in bounds.
   thread_local std::vector<Score> rev_subject;
-  rev_subject.resize(static_cast<std::size_t>(args.cols));
+  rev_subject.assign(static_cast<std::size_t>(args.cols + 2 * kL),
+                     kRevSubjectPad);
   for (std::int64_t j = 0; j < args.cols; ++j) {
-    rev_subject[static_cast<std::size_t>(args.cols - 1 - j)] =
+    rev_subject[static_cast<std::size_t>(kL + args.cols - 1 - j)] =
         static_cast<Score>(args.subject[j]);
   }
 
@@ -278,7 +240,7 @@ BlockResult compute_block_simd_impl(const ScoreScheme& scheme,
   std::int64_t i0 = 0;
   for (; i0 + kL <= args.rows; i0 += kL) {
     const Score next_strip_diag0 = args.left_h[i0 + kL - 1];
-    process_strip(scheme, args, rev_subject.data(), i0, row_h, row_f,
+    process_strip(scheme, args, rev_subject.data() + kL, i0, row_h, row_f,
                   strip_diag0, /*last_strip=*/i0 + kL == args.rows, best,
                   border_max);
     strip_diag0 = next_strip_diag0;

@@ -12,8 +12,10 @@
 //
 //   simd8  : int8 (32 lanes) -> int16 (16 lanes) -> int32 (8 lanes)
 //   simd16 : int16 (16 lanes) -> int32 (8 lanes)
-//   auto   : alias of the full ladder — "narrowest safe precision",
-//            usable as a per-device DeviceSpec::kernel choice.
+//   auto   : the full ladder entered at the first rung that can
+//            succeed — int16 when the block's incoming H borders are
+//            not int8-representable — and the scalar row kernel when the
+//            dispatched backend is scalar. The registry default.
 //
 // Exactness argument (all results stay bit-identical to compute_block):
 //  * Up-saturation can only happen to H (gains come only from `match`
@@ -57,10 +59,13 @@ BlockResult compute_block_i16(const ScoreScheme& scheme,
 BlockResult compute_block_i8(const ScoreScheme& scheme,
                              const BlockArgs& args);
 
-/// Narrowest-safe-precision ladder (registry: "auto"): identical to
-/// compute_block_i8 today, named separately so device specs and
-/// calibration can ask for "the narrowest precision that is safe for
-/// this block" without naming a width.
+/// Narrowest-safe-precision ladder (registry: "auto", the default):
+/// compute_block_i8, except that a block whose incoming H values are not
+/// int8-representable (probed at the corner and two border ends) starts
+/// at int16, and that a host whose dispatched backend is scalar runs
+/// compute_block. Device specs and calibration name it to ask for "the
+/// narrowest precision that is safe for this block" without naming a
+/// width.
 BlockResult compute_block_auto(const ScoreScheme& scheme,
                                const BlockArgs& args);
 

@@ -13,7 +13,7 @@ namespace mgpusw::sw {
 const std::vector<KernelInfo>& kernel_registry() {
   static const std::vector<KernelInfo> registry = [] {
     std::vector<KernelInfo> table;
-    table.push_back({std::string(kDefaultKernel), &compute_block,
+    table.push_back({"row", &compute_block,
                      "scalar row sweep (reference)"});
     table.push_back({"antidiag", &compute_block_antidiag,
                      "scalar anti-diagonal sweep (GPU traversal)"});

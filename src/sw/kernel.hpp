@@ -7,8 +7,8 @@
 // here plus nothing anywhere else.
 //
 // Registered names:
-//   row          scalar row sweep (the reference; fastest scalar on most
-//                hosts)
+//   row          scalar row sweep (the reference every other entry is
+//                parity-tested against)
 //   antidiag     scalar anti-diagonal sweep (the GPU traversal)
 //   strip4       4-row strip-mined scalar sweep
 //   simd         8-lane SIMD anti-diagonal, runtime-dispatched to the
@@ -18,8 +18,12 @@
 //                have saturated (bit-identical either way)
 //   simd8        32-lane saturating int8 SIMD; escalates int8 -> int16
 //                -> int32
-//   auto         narrowest safe precision — the full int8 ladder, named
-//                for DeviceSpec::kernel / calibration to select
+//   auto         narrowest safe precision — the int8 ladder entered at
+//                int16 when a block's incoming H borders cannot be int8,
+//                and the row sweep on a scalar-only host. The registry
+//                default: the fastest exact kernel at the engine's
+//                128x128 blocks (every SIMD kernel runs its whole strip,
+//                fill and drain included, on the vector path)
 //   simd-scalar  the SIMD kernel pinned to its scalar backend (always
 //                present — the guaranteed fallback)
 //   simd-sse42 / simd-avx2
@@ -51,11 +55,11 @@ struct KernelInfo {
   std::string description;
 };
 
-/// Name of the default kernel (the scalar row sweep).
-inline constexpr std::string_view kDefaultKernel = "row";
+/// Name of the default kernel: the precision ladder (see above).
+inline constexpr std::string_view kDefaultKernel = "auto";
 
-/// All kernels runnable on this host, default first. Built once; stable
-/// for the process lifetime.
+/// All kernels runnable on this host, the `row` reference first. Built
+/// once; stable for the process lifetime.
 [[nodiscard]] const std::vector<KernelInfo>& kernel_registry();
 
 /// Looks a kernel up by name; throws InvalidArgument listing the valid

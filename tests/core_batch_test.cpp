@@ -256,6 +256,32 @@ TEST(BatchTest, InterseqPrepassCanHandleWholeBatch) {
   EXPECT_GT(result.total_cells, 0);
 }
 
+TEST(BatchTest, ShortSubjectLeasesOnlyDevicesWithBlockColumns) {
+  // A 100-base subject is one 128-column block: whole-fleet leases on
+  // three devices must shrink to one device instead of failing the
+  // partition (and with it the whole batch).
+  auto [a, b] = testutil::related_pair(100, 81);
+  std::vector<BatchItem> items(1);
+  items[0].label = "short";
+  items[0].query = a;
+  items[0].subject = b;
+  DeviceFleet fleet = DeviceFleet::from_specs(
+      {vgpu::toy_device(10.0), vgpu::toy_device(15.0),
+       vgpu::toy_device(20.0)});
+  BatchConfig config;
+  config.engine.block_rows = 128;
+  config.engine.block_cols = 128;
+  for (const bool recovery : {false, true}) {
+    config.enable_recovery = recovery;
+    const BatchResult result = run_batch(config, fleet, items);
+    ASSERT_EQ(result.items.size(), 1u);
+    EXPECT_EQ(result.items[0].result.best,
+              sw::linear_score(config.engine.scheme, a, b))
+        << "recovery=" << recovery;
+    EXPECT_EQ(fleet.available(), 3u);
+  }
+}
+
 TEST(BatchTest, ItemFailureAbortsBatch) {
   // A failing item rethrows from run_batch and releases its lease.
   std::vector<BatchItem> items = test_items();

@@ -20,6 +20,7 @@
 #include "serve/journal.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "tests/test_util.hpp"
 
 namespace mgpusw::serve {
 namespace {
@@ -371,6 +372,83 @@ TEST(JournalEndToEnd, TerminalResultsSurviveRestart) {
   EXPECT_EQ(replayed.score, score);
   // The result body is served verbatim from the journal.
   EXPECT_FALSE(replayed.result_json.empty());
+  restarted.stop();
+}
+
+TEST(JournalEndToEnd, FinishedJobCheckpointsAreRemoved) {
+  // A journaled job's checkpoint spills live in <journal>/jobs/job_<id>
+  // only until its terminal record is durable; the RESULT is still
+  // re-served verbatim from the log by the next life.
+  const std::string dir = make_journal_dir("e2e_cleanup");
+  const auto job_dir = [&dir](std::int64_t id) {
+    return dir + "/jobs/job_" + std::to_string(id);
+  };
+  std::int64_t id = -1;
+  std::string result_json;
+  {
+    AlignServer server(journal_server_config(dir));
+    server.start();
+    ServeClient client = ServeClient::connect("127.0.0.1", server.port());
+    id = client.submit(synthetic_spec("alice", "spill", 2048, 2048, 9));
+    const JobStatus done = client.result(id);
+    ASSERT_EQ(done.state, JobState::kDone);
+    result_json = done.result_json;
+    ASSERT_FALSE(result_json.empty());
+    EXPECT_FALSE(std::filesystem::exists(job_dir(id)));
+    server.stop();
+  }
+  AlignServer restarted(journal_server_config(dir));
+  EXPECT_EQ(restarted.replayed_jobs(), 1);
+  restarted.start();
+  ServeClient client = ServeClient::connect("127.0.0.1", restarted.port());
+  const JobStatus replayed = client.result(id);
+  EXPECT_EQ(replayed.state, JobState::kDone);
+  EXPECT_EQ(replayed.result_json, result_json);
+  EXPECT_FALSE(std::filesystem::exists(job_dir(id)));
+  restarted.stop();
+}
+
+TEST(JournalEndToEnd, CompactedFinishedJobsKeepNoBases) {
+  // A finished job's inputs are released; a compaction then journals
+  // its SUBMIT without bases, and the next life still re-serves every
+  // RESULT verbatim from the compacted log.
+  const std::string dir = make_journal_dir("e2e_compact_bases");
+  ServerConfig config = journal_server_config(dir);
+  config.journal_compact_min_appends = 1;  // compact after every job
+  constexpr std::int64_t kBases = 2000;
+  std::vector<std::int64_t> ids;
+  std::vector<std::string> results;
+  {
+    AlignServer server(config);
+    server.start();
+    ServeClient client = ServeClient::connect("127.0.0.1", server.port());
+    for (int i = 0; i < 3; ++i) {
+      SubmitRequest request;
+      request.tenant = "alice";
+      request.query = testutil::random_sequence(kBases, 40 + i).to_string();
+      request.subject =
+          testutil::random_sequence(kBases, 50 + i).to_string();
+      ids.push_back(client.submit(request));
+      const JobStatus done = client.result(ids.back());
+      ASSERT_EQ(done.state, JobState::kDone);
+      results.push_back(done.result_json);
+    }
+    EXPECT_GE(server.metrics().counter("serve.journal_compactions").value(),
+              1);
+    server.stop();
+  }
+  // The compacted log is smaller than one job's inline bases.
+  EXPECT_LT(std::filesystem::file_size(dir + "/journal.log"),
+            static_cast<std::uintmax_t>(2 * kBases));
+  AlignServer restarted(config);
+  EXPECT_EQ(restarted.replayed_jobs(), 3);
+  restarted.start();
+  ServeClient client = ServeClient::connect("127.0.0.1", restarted.port());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const JobStatus replayed = client.result(ids[i]);
+    EXPECT_EQ(replayed.state, JobState::kDone);
+    EXPECT_EQ(replayed.result_json, results[i]);
+  }
   restarted.stop();
 }
 

@@ -7,6 +7,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <iterator>
 #include <thread>
 #include <vector>
 
@@ -17,6 +19,8 @@
 #include "serve/job_queue.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "sw/linear.hpp"
+#include "tests/test_util.hpp"
 #include "vgpu/device.hpp"
 #include "vgpu/spec.hpp"
 
@@ -684,6 +688,50 @@ TEST(ServeEndToEnd, HttpGetScrapesMetrics) {
       base::json::parse(response.substr(body_at + 4));
   EXPECT_TRUE(snapshot.is_object());
   EXPECT_NE(snapshot.at("counters").find("serve.jobs_accepted"), nullptr);
+  server.stop();
+}
+
+TEST(ServeEndToEnd, ShortPairOnWholeFleetLease) {
+  // A 100-base subject has one 128-column block: a whole-fleet lease on
+  // three devices must shrink to one device, not fail the job.
+  ServerConfig config = small_server_config();
+  config.devices_per_job = 0;
+  config.block = 128;
+  AlignServer server(config);
+  server.start();
+  ServeClient client = ServeClient::connect("127.0.0.1", server.port());
+  const auto [query, subject] = testutil::related_pair(100, 81);
+  SubmitRequest request;
+  request.tenant = "alice";
+  request.query = query.to_string();
+  request.subject = subject.to_string();
+  const JobStatus done = client.result(client.submit(request));
+  ASSERT_EQ(done.state, JobState::kDone) << done.error;
+  EXPECT_EQ(done.score,
+            sw::linear_score(config.scheme, query, subject).score);
+  server.stop();
+}
+
+/// Open descriptors of this process.
+std::size_t open_fds() {
+  return static_cast<std::size_t>(std::distance(
+      std::filesystem::directory_iterator("/proc/self/fd"),
+      std::filesystem::directory_iterator()));
+}
+
+TEST(ServeEndToEnd, ClosedConnectionsReleaseTheirDescriptors) {
+  // One-command clients (connect, METRICS, close) must not leave a
+  // descriptor and a thread behind per connection until stop().
+  AlignServer server(small_server_config());
+  server.start();
+  const std::size_t before = open_fds();
+  for (int i = 0; i < 200; ++i) {
+    ServeClient client = ServeClient::connect("127.0.0.1", server.port());
+    EXPECT_FALSE(client.metrics_json().empty());
+  }
+  // Each accept reaps the connections that have ended; the last few may
+  // still be closing.
+  EXPECT_LE(open_fds(), before + 16);
   server.stop();
 }
 
