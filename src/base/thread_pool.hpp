@@ -74,23 +74,26 @@ class ThreadPool {
   void parallel_for(std::size_t count, Fn&& fn) {
     if (count == 0) return;
     std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> done{0};
     std::mutex done_mu;
     std::condition_variable done_cv;
+    std::size_t shards_done = 0;  // guarded by done_mu
     const std::size_t shards = std::min(count, size());
     for (std::size_t s = 0; s < shards; ++s) {
       submit([&, count] {
         for (std::size_t i = next.fetch_add(1); i < count;
              i = next.fetch_add(1)) {
           fn(i);
-          done.fetch_add(1);
         }
+        // The shards share this frame's locals, so the call may return
+        // only once every shard is past its last use of them: wait for
+        // shards, not items, and signal under the lock.
         std::lock_guard lock(done_mu);
+        ++shards_done;
         done_cv.notify_one();
       });
     }
     std::unique_lock lock(done_mu);
-    done_cv.wait(lock, [&] { return done.load() == count; });
+    done_cv.wait(lock, [&] { return shards_done == shards; });
   }
 
  private:

@@ -372,6 +372,21 @@ TEST(ThreadPoolTest, ParallelForCoversRange) {
   }
 }
 
+TEST(ThreadPoolTest, ParallelForReturnsOnlyAfterEveryShard) {
+  // Back-to-back calls reuse the caller's stack frame: a shard still
+  // touching the previous call's locals after it returned could lock a
+  // dead mutex and hang the pool.
+  base::ThreadPool pool(3);
+  std::atomic<long> total{0};
+  long expected = 0;
+  for (int round = 0; round < 10000; ++round) {
+    const std::size_t count = 1 + static_cast<std::size_t>(round % 7);
+    pool.parallel_for(count, [&total](std::size_t) { total.fetch_add(1); });
+    expected += static_cast<long>(count);
+  }
+  EXPECT_EQ(total.load(), expected);
+}
+
 TEST(ThreadPoolTest, SubmitAfterShutdownThrows) {
   base::ThreadPool pool(1);
   pool.shutdown();
