@@ -7,8 +7,9 @@
 // `toy_device` profiles and the real-mode GCUPS numbers trace back to.
 //
 // After the google-benchmark run, a summary pass times each kernel on a
-// large square block and on the engine's default 128x128 tile, prints
-// per-kernel GCUPS tables with the speedup over the scalar `row`
+// large square block, on the engine's 128x128 block and on the 128-row
+// tiles the row-major engine computes per block row of a device's slice,
+// prints per-kernel GCUPS tables with the speedup over the scalar `row`
 // reference, and records the run in a JSON file (--kernels_json=PATH,
 // default BENCH_kernels.json; empty disables).
 #include <benchmark/benchmark.h>
@@ -46,18 +47,20 @@ std::vector<seq::Nt> random_bases(std::int64_t length, std::uint64_t seed) {
   return out;
 }
 
-/// Reusable square-block harness; borders are reset per run because the
-/// kernel overwrites them in place.
+/// Reusable rows x cols block harness; borders are reset per run because
+/// the kernel overwrites them in place.
 class BlockHarness {
  public:
-  explicit BlockHarness(std::int64_t tile)
-      : tile_(tile),
-        query_(random_bases(tile, 1)),
-        subject_(random_bases(tile, 2)),
-        row_h_(static_cast<std::size_t>(tile)),
-        row_f_(static_cast<std::size_t>(tile)),
-        col_h_(static_cast<std::size_t>(tile)),
-        col_e_(static_cast<std::size_t>(tile)) {}
+  explicit BlockHarness(std::int64_t tile) : BlockHarness(tile, tile) {}
+  BlockHarness(std::int64_t rows, std::int64_t cols)
+      : rows_(rows),
+        cols_(cols),
+        query_(random_bases(rows, 1)),
+        subject_(random_bases(cols, 2)),
+        row_h_(static_cast<std::size_t>(cols)),
+        row_f_(static_cast<std::size_t>(cols)),
+        col_h_(static_cast<std::size_t>(rows)),
+        col_e_(static_cast<std::size_t>(rows)) {}
 
   sw::BlockResult run(sw::BlockKernelFn fn, const sw::ScoreScheme& scheme) {
     std::fill(row_h_.begin(), row_h_.end(), 0);
@@ -67,8 +70,8 @@ class BlockHarness {
     sw::BlockArgs args;
     args.query = query_.data();
     args.subject = subject_.data();
-    args.rows = tile_;
-    args.cols = tile_;
+    args.rows = rows_;
+    args.cols = cols_;
     args.top_h = row_h_.data();
     args.top_f = row_f_.data();
     args.left_h = col_h_.data();
@@ -81,7 +84,7 @@ class BlockHarness {
   }
 
  private:
-  std::int64_t tile_;
+  std::int64_t rows_, cols_;
   std::vector<seq::Nt> query_, subject_;
   std::vector<sw::Score> row_h_, row_f_, col_h_, col_e_;
 };
@@ -219,13 +222,14 @@ double min_seconds_per_run(Fn&& run, int warmup, int reps,
   return best;
 }
 
-double measure_gcups(sw::BlockKernelFn fn, std::int64_t tile, int reps) {
-  BlockHarness harness(tile);
+double measure_gcups(sw::BlockKernelFn fn, std::int64_t rows,
+                     std::int64_t cols, int reps) {
+  BlockHarness harness(rows, cols);
   const sw::ScoreScheme scheme;
   const double seconds = min_seconds_per_run(
       [&] { benchmark::DoNotOptimize(harness.run(fn, scheme)); },
       /*warmup=*/2, reps, /*min_rep_seconds=*/0.02);
-  return base::gcups(tile * tile, seconds);
+  return base::gcups(rows * cols, seconds);
 }
 
 /// Megabase-shaped workload: one block-row strip swept left to right in
@@ -382,6 +386,10 @@ struct SummaryShape {
   /// The engine's default block (chromosome_compare, batch_compare,
   /// mgpusw-serve): the rate the default kernel is chosen by.
   static constexpr std::int64_t engine_tile = 128;
+  /// One block row of a device's slice, which the row-major engine
+  /// computes in one kernel call: the megabase slices of
+  /// chromosome_compare's chr21/1024 run are 7,552 to 13,086 columns.
+  static constexpr std::int64_t engine_row_cols[] = {4096, 13086};
   std::int64_t mega_rows = 512;
   std::int64_t mega_cols = std::int64_t{1} << 20;
   /// Wide tiles are the engine-realistic megabase shape: per-tile border
@@ -401,7 +409,8 @@ void run_kernel_summary(const std::string& json_path,
   std::vector<KernelRate> block_rates;
   for (const sw::KernelInfo& info : sw::kernel_registry()) {
     block_rates.push_back(
-        {info.name, measure_gcups(info.fn, shape.block_tile, shape.reps)});
+        {info.name, measure_gcups(info.fn, shape.block_tile,
+                                  shape.block_tile, shape.reps)});
   }
   print_rate_table(
       "Per-kernel GCUPS, " + std::to_string(shape.block_tile) + "x" +
@@ -415,7 +424,8 @@ void run_kernel_summary(const std::string& json_path,
   std::vector<KernelRate> engine_rates;
   for (const sw::KernelInfo& info : sw::kernel_registry()) {
     engine_rates.push_back(
-        {info.name, measure_gcups(info.fn, shape.engine_tile, shape.reps)});
+        {info.name, measure_gcups(info.fn, shape.engine_tile,
+                                  shape.engine_tile, shape.reps)});
   }
   print_rate_table("Per-kernel GCUPS, " + std::to_string(shape.engine_tile) +
                        "x" + std::to_string(shape.engine_tile) +
@@ -423,7 +433,23 @@ void run_kernel_summary(const std::string& json_path,
                        std::string(sw::kDefaultKernel) + ")",
                    engine_rates, "row");
 
-  // Section 3: megabase strip sweep — the dispatched kernels only (the
+  // Section 3: every registered kernel on one block row of a megabase
+  // slice — the engine_tile rows fused across the slice's width.
+  std::vector<std::vector<KernelRate>> row_rates;
+  for (const std::int64_t cols : shape.engine_row_cols) {
+    std::vector<KernelRate>& rates = row_rates.emplace_back();
+    for (const sw::KernelInfo& info : sw::kernel_registry()) {
+      rates.push_back({info.name, measure_gcups(info.fn, shape.engine_tile,
+                                                cols, shape.reps)});
+    }
+    print_rate_table("Per-kernel GCUPS, " +
+                         std::to_string(shape.engine_tile) + "x" +
+                         base::with_thousands(cols) +
+                         " tile (one block row of a device's slice)",
+                     rates, "row");
+  }
+
+  // Section 4: megabase strip sweep — the dispatched kernels only (the
   // pinned backend variants add nothing at this scale and each pass
   // covers half a gigacell).
   StripHarness strip(shape.mega_rows, shape.mega_cols,
@@ -442,7 +468,7 @@ void run_kernel_summary(const std::string& json_path,
                        "-col tiles",
                    mega_rates, "simd");
 
-  // Section 4: short-pair batch via the inter-sequence kernels. The
+  // Section 5: short-pair batch via the inter-sequence kernels. The
   // "scalar" entry is the per-pair intra-block SIMD kernel, i.e. what
   // the same batch costs without inter-sequence packing.
   BatchHarness batch(shape.batch_pairs, shape.batch_pair_len);
@@ -470,6 +496,17 @@ void run_kernel_summary(const std::string& json_path,
   w.key("tile").value(shape.engine_tile);
   w.key("default_kernel").value(sw::kDefaultKernel);
   append_rate_section(w, engine_rates, "row");
+  w.end_object();
+  w.key("engine_row").begin_object();
+  w.key("rows").value(shape.engine_tile);
+  w.key("tiles").begin_array();
+  for (std::size_t t = 0; t < row_rates.size(); ++t) {
+    w.begin_object();
+    w.key("cols").value(shape.engine_row_cols[t]);
+    append_rate_section(w, row_rates[t], "row");
+    w.end_object();
+  }
+  w.end_array();
   w.end_object();
   w.key("megabase").begin_object();
   w.key("rows").value(shape.mega_rows);

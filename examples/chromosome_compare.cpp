@@ -27,7 +27,11 @@ int main(int argc, char** argv) {
   flags.add_bool("hetero", true,
                  "heterogeneous device mix (cycles env-1 GPU profiles)");
   flags.add_int("block_rows", 128, "block height");
-  flags.add_int("block_cols", 128, "block width");
+  flags.add_int("block_cols", 128,
+                "block width: the unit of the column split, checkpoint "
+                "segments and fault coordinates (the row-major schedule "
+                "without pruning computes a whole block row of a slice "
+                "in one kernel call)");
   flags.add_int("buffer", 16, "circular buffer capacity (chunks)");
   flags.add_string("transport", "ring", "border transport: ring or tcp");
   {

@@ -7,6 +7,18 @@
 
 namespace mgpusw::core {
 
+namespace {
+
+/// Below this much kernel time on some device, a sample is short: two
+/// threads of a shared host, or two slices whose rows differ in how many
+/// blocks fall back to a wider precision, can then measure this far
+/// apart on equal devices. A short sample must show that much more skew
+/// than the policy threshold before the controller acts on it.
+constexpr std::int64_t kTrustedBusyNs = 10'000'000;
+constexpr double kShortSampleSpread = 1.3;
+
+}  // namespace
+
 std::vector<double> estimate_rates(
     const std::vector<DeviceRateSample>& samples) {
   std::vector<double> rates;
@@ -70,8 +82,11 @@ void RebalanceController::observe(const ProgressEvent& event) {
     state.baseline_units = event.completed_units - 1;
   }
   state.units = event.completed_units;
-  state.sample.cells = event.device_cells_done;
-  state.sample.busy_ns = event.busy_ns;
+  const std::vector<double> unit_rate =
+      estimate_rates({{event.device_cells_done - state.total.cells,
+                       event.busy_ns - state.total.busy_ns}});
+  if (!unit_rate.empty()) state.unit_rates.push_back(unit_rate.front());
+  state.total = {event.device_cells_done, event.busy_ns};
 
   if (shares_.empty() || states_.size() < shares_.size()) return;
   std::int64_t min_progress = 0;
@@ -87,14 +102,29 @@ void RebalanceController::observe(const ProgressEvent& event) {
 }
 
 void RebalanceController::evaluate_locked() {
-  std::vector<DeviceRateSample> samples;
-  samples.reserve(states_.size());
-  for (const DeviceState& state : states_) samples.push_back(state.sample);
-  const std::vector<double> rates = estimate_rates(samples);
-  if (rates.empty()) return;  // e.g. a fully-pruned slice: no kernel time
+  std::vector<double> rates;
+  rates.reserve(states_.size());
+  for (DeviceState& state : states_) {
+    // e.g. a fully-pruned slice: no kernel time yet
+    if (state.unit_rates.empty()) return;
+    const auto upper_quartile =
+        state.unit_rates.begin() +
+        static_cast<std::ptrdiff_t>(state.unit_rates.size() * 3 / 4);
+    std::nth_element(state.unit_rates.begin(), upper_quartile,
+                     state.unit_rates.end());
+    rates.push_back(*upper_quartile);
+  }
   ++checks_;
   last_imbalance_ = split_imbalance(shares_, rates);
-  if (last_imbalance_ <= policy_.min_imbalance) return;
+  const bool short_sample = std::any_of(
+      states_.begin(), states_.end(), [](const DeviceState& state) {
+        return state.total.busy_ns < kTrustedBusyNs;
+      });
+  const double threshold =
+      short_sample
+          ? (1.0 + policy_.min_imbalance) * kShortSampleSpread - 1.0
+          : policy_.min_imbalance;
+  if (last_imbalance_ <= threshold) return;
   rates_ = rates;
   stop_.store(true, std::memory_order_release);
 }

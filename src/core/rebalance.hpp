@@ -84,6 +84,16 @@ struct DeviceRateSample {
 /// lopsided beyond the policy threshold. Thread-safe: observe() is called
 /// concurrently from every device's driver thread.
 ///
+/// A device's rate is the upper quartile of its per-unit rates this
+/// attempt, not its cumulative rate: a unit can run many times slower
+/// than the device for reasons that do not last — the first kernel call
+/// on a thread, a host preemption inside a call, the block rows whose
+/// path of high scores forces a wider precision — and on samples of a
+/// few units one such unit would swing a cumulative rate past the
+/// threshold. While any device has run under 10 ms of kernel time, the
+/// skew must also beat the policy threshold by a further factor of 1.3
+/// (see rebalance.cpp), the spread equal devices show on such samples.
+///
 /// Lifecycle (per engine attempt): construct → set_planned_shares(from
 /// the engine's plan) → wire stop_flag() into EngineConfig::stop_request
 /// and observe() into the progress callback → run. After the run, if
@@ -122,7 +132,8 @@ class RebalanceController {
     bool seen = false;
     std::int64_t baseline_units = 0;  // units completed before we watched
     std::int64_t units = 0;           // latest completed_units
-    DeviceRateSample sample;
+    DeviceRateSample total;           // cumulative at the latest event
+    std::vector<double> unit_rates;   // one per measurable unit
   };
 
   void evaluate_locked();

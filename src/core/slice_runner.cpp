@@ -292,9 +292,9 @@ void SliceRunner::flush_obs() {
 void SliceRunner::reduce_outcome(TaskOutcome& outcome) {
   if (outcome.error) std::rethrow_exception(outcome.error);
   MGPUSW_CHECK(outcome.valid);
-  ++stats_.blocks;
+  stats_.blocks += outcome.blocks;
   if (outcome.pruned) {
-    ++stats_.pruned_blocks;
+    stats_.pruned_blocks += outcome.blocks;
     stats_.pruned_cells += outcome.cells;
   } else {
     stats_.cells += outcome.cells;
@@ -421,6 +421,71 @@ void SliceRunner::compute_one(std::int64_t i, std::int64_t j,
   special_rows_.save(i, r0 + bh - 1, c0_global, bw, top_h, top_f);
 }
 
+void SliceRunner::compute_row(std::int64_t i, TaskOutcome& outcome) {
+  // A fault at block j still computes blocks [0, j) before it
+  // propagates, so a failed attempt leaves the same borders, checkpoint
+  // segments and stats as the per-block loop.
+  std::int64_t j = 0;
+  try {
+    for (; j < nbc_; ++j) device_.fault_point(i, j);
+  } catch (...) {
+    if (j > 0) {
+      compute_row_prefix(i, j, outcome);
+      reduce_outcome(outcome);
+    }
+    throw;
+  }
+  compute_row_prefix(i, nbc_, outcome);
+}
+
+void SliceRunner::compute_row_prefix(std::int64_t i, std::int64_t j_end,
+                                     TaskOutcome& outcome) {
+  const std::int64_t rows = static_cast<std::int64_t>(query_.size());
+  const std::int64_t r0 = i * context_.block_rows;
+  const std::int64_t bh = std::min(context_.block_rows, rows - r0);
+  const std::int64_t width =
+      std::min(j_end * context_.block_cols, slice_.cols);
+
+  // bottom_h/right_h alias top_h/left_h exactly as in compute_one, so
+  // the wide tile leaves the borders the per-block loop would leave;
+  // its inner block corners never leave the kernel.
+  sw::BlockArgs args;
+  args.query = query_.data() + r0;
+  args.subject = subject_.data() + slice_.first_col;
+  args.rows = bh;
+  args.cols = width;
+  args.global_row = r0;
+  args.global_col = slice_.first_col;
+  args.top_h = row_h_.data();
+  args.top_f = row_f_.data();
+  args.left_h = col_h_.data() + r0;
+  args.left_e = col_e_.data() + r0;
+  args.corner_h = exchange_.has_upstream()
+                      ? chunk_corner_[static_cast<std::size_t>(i)]
+                      : sw::Score{0};
+  args.bottom_h = row_h_.data();
+  args.bottom_f = row_f_.data();
+  args.right_h = col_h_.data() + r0;
+  args.right_e = col_e_.data() + r0;
+
+  obs::TraceSpan span(obs_.tracer, "engine", "block");
+  span.arg("i", i).arg("j0", 0).arg("j1", j_end);
+  base::WallTimer timer;
+  outcome.block = kernel_(context_.scheme, args);
+  device_.account_kernel(timer.elapsed_ns(), sw::block_cells(bh, width));
+  span.finish();
+  outcome.blocks = j_end;
+  outcome.cells = sw::block_cells(bh, width);
+  outcome.valid = true;
+
+  for (std::int64_t j = 0; j < j_end; ++j) {
+    const std::int64_t c0 = j * context_.block_cols;
+    special_rows_.save(i, r0 + bh - 1, slice_.first_col + c0,
+                       std::min(context_.block_cols, width - c0),
+                       row_h_.data() + c0, row_f_.data() + c0);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // schedules
 
@@ -434,9 +499,15 @@ void RowMajorSchedule::run(SliceRunner& r) const {
                           r.chunk_corner_[static_cast<std::size_t>(i)]);
     }
     r.phase(obs::Phase::kCompute);
-    for (std::int64_t j = 0; j < r.nbc_; ++j) {
+    if (r.context_.enable_pruning) {
+      for (std::int64_t j = 0; j < r.nbc_; ++j) {
+        outcome = TaskOutcome{};
+        r.compute_one(i, j, outcome);
+        r.reduce_outcome(outcome);
+      }
+    } else {
       outcome = TaskOutcome{};
-      r.compute_one(i, j, outcome);
+      r.compute_row(i, outcome);
       r.reduce_outcome(outcome);
     }
     r.publish_best();

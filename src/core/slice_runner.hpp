@@ -148,10 +148,11 @@ struct RunnerContext {
       std::chrono::steady_clock::now();
 };
 
-/// Result of one block task, reduced by the driver after each scheduling
-/// unit.
+/// Result of one kernel call — one block, or a fused run of a block
+/// row's blocks — reduced by the driver after each scheduling unit.
 struct TaskOutcome {
   sw::BlockResult block;
+  std::int64_t blocks = 1;  // block columns the call covered
   std::int64_t cells = 0;
   bool pruned = false;
   bool valid = false;
@@ -286,7 +287,11 @@ class SliceRunner;
 
 /// Fine-grain pipeline order: block rows in sequence, columns left to
 /// right; chunk i ships the moment row i completes (the paper's overlap
-/// behaviour). Blocks run inline on the driver thread.
+/// behaviour). Blocks run inline on the driver thread. Without pruning,
+/// a block row of the slice is one kernel call over block_rows x
+/// slice.cols (compute_row); the block columns stay the unit of fault
+/// points, block counts and checkpoint segments. Pruning decides block
+/// by block, so it keeps one call per block (compute_one).
 struct RowMajorSchedule {
   void run(SliceRunner& runner) const;
 };
@@ -329,6 +334,13 @@ class SliceRunner {
 
   void init_borders();
   void compute_one(std::int64_t i, std::int64_t j, TaskOutcome& outcome);
+  /// Block row `i` as one wide tile: fault points for every block column
+  /// first, then one kernel call, then the per-block special-row
+  /// segments.
+  void compute_row(std::int64_t i, TaskOutcome& outcome);
+  /// Blocks [0, j_end) of block row `i` in one kernel call.
+  void compute_row_prefix(std::int64_t i, std::int64_t j_end,
+                          TaskOutcome& outcome);
   void reduce_outcome(TaskOutcome& outcome);
   void publish_best();
   /// `settled_block_rows` counts block rows of the matrix (from row 0,
@@ -368,7 +380,7 @@ class SliceRunner {
 
   std::vector<sw::Score> row_h_, row_f_;   // horizontal borders per column
   std::vector<sw::Score> col_h_, col_e_;   // vertical borders per row
-  std::vector<sw::Score> corner_;          // per block column
+  std::vector<sw::Score> corner_;          // per block column (compute_one)
   std::vector<sw::Score> chunk_corner_;    // per block row (device d > 0)
   sw::Score sent_corner_ = 0;              // corner of the next sent chunk
 
