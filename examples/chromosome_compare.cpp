@@ -25,7 +25,9 @@ int main(int argc, char** argv) {
                    "FASTA file for the subject (overrides --pair)");
   flags.add_int("devices", 3, "number of virtual devices");
   flags.add_bool("hetero", true,
-                 "heterogeneous device mix (cycles env-1 GPU profiles)");
+                 "heterogeneous device mix (cycles env-1 GPU profiles); "
+                 "the devices start with no measured rate, so the "
+                 "profiles' GCUPS size this run's slices");
   flags.add_int("block_rows", 128, "block height");
   flags.add_int("block_cols", 128,
                 "block width: the unit of the column split, checkpoint "

@@ -106,8 +106,8 @@ int main(int argc, char** argv) {
   // Optional mid-run throttle: once device 1 finishes its first block
   // row, every later kernel pays the factor — the planner's weights are
   // suddenly wrong, which is exactly what --rebalance corrects. Applied
-  // after the first row (not up front) so the calibration-time weights
-  // stay honest, like a GPU that starts thermal throttling under load.
+  // after the first row (not up front) so the plan-time weights stay
+  // honest, like a GPU that starts thermal throttling under load.
   const double throttle = flags.get_double("throttle");
   std::atomic<bool> throttled{false};
   if (throttle > 1.0) {

@@ -1,5 +1,6 @@
 #include "core/engine.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <thread>
@@ -71,11 +72,27 @@ std::vector<double> MultiDeviceEngine::balance_weights() const {
     case BalanceMode::kEqual:
       weights.assign(devices_.size(), 1.0);
       break;
-    case BalanceMode::kSpecGcups:
+    case BalanceMode::kDeviceRate: {
+      // Measured cells/s only when every device has a trusted window:
+      // one cold device would otherwise put GCUPS ratings and host cell
+      // rates into the same split.
+      std::vector<vgpu::RateSample> windows;
+      windows.reserve(devices_.size());
+      for (const vgpu::Device* device : devices_) {
+        windows.push_back(device->rate_window());
+      }
+      if (std::all_of(windows.begin(), windows.end(),
+                      [](const vgpu::RateSample& window) {
+                        return window.busy_ns >= kTrustedBusyNs;
+                      })) {
+        weights = estimate_rates(windows);
+        if (!weights.empty()) break;
+      }
       for (const vgpu::Device* device : devices_) {
         weights.push_back(device->spec().sw_gcups / device->slowdown());
       }
       break;
+    }
     case BalanceMode::kCustomWeights:
       weights = config_.custom_weights;
       break;

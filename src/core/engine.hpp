@@ -61,7 +61,7 @@ struct EngineConfig {
   /// results; they differ in traversal and speed. A device whose spec
   /// names its own kernel overrides this default for its slice.
   std::string kernel{sw::kDefaultKernel};
-  BalanceMode balance = BalanceMode::kSpecGcups;
+  BalanceMode balance = BalanceMode::kDeviceRate;
   std::vector<double> custom_weights;  // used when balance == kCustomWeights
 
   /// Block pruning (extension, CUDAlign 2.1 technique): skip blocks whose
@@ -194,7 +194,8 @@ class MultiDeviceEngine {
   /// The full pre-execution plan for a rows x cols comparison on this
   /// engine's devices — the same value run() executes and
   /// sim::simulate_pipeline projects (the engine–simulator shared-plan
-  /// contract).
+  /// contract). Under BalanceMode::kDeviceRate the split reads the
+  /// devices' rate windows, so it holds until their next kernel.
   [[nodiscard]] AlignmentPlan plan(std::int64_t rows, std::int64_t cols,
                                    std::int64_t start_block_row = 0) const;
 

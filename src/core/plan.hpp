@@ -24,7 +24,9 @@ namespace mgpusw::core {
 /// How slice widths are chosen for heterogeneous devices.
 enum class BalanceMode {
   kEqual,          // equal block-column counts (the naive baseline)
-  kSpecGcups,      // proportional to DeviceSpec::sw_gcups / slowdown
+  kDeviceRate,     // proportional to each device's measured rate window
+                   // once every window holds kTrustedBusyNs, else to
+                   // DeviceSpec::sw_gcups / slowdown for every device
   kCustomWeights,  // caller-provided weights
 };
 
@@ -118,7 +120,7 @@ struct AlignmentPlan {
 [[nodiscard]] AlignmentPlan make_plan(const PlanRequest& request);
 
 /// Profile weights straight from device specs (sw_gcups), the simulator's
-/// default split and the raw material of BalanceMode::kSpecGcups.
+/// default split and BalanceMode::kDeviceRate's split on cold devices.
 [[nodiscard]] std::vector<double> profile_weights(
     const std::vector<vgpu::DeviceSpec>& devices);
 

@@ -9,21 +9,18 @@ namespace mgpusw::core {
 
 namespace {
 
-/// Below this much kernel time on some device, a sample is short: two
-/// threads of a shared host, or two slices whose rows differ in how many
-/// blocks fall back to a wider precision, can then measure this far
-/// apart on equal devices. A short sample must show that much more skew
-/// than the policy threshold before the controller acts on it.
-constexpr std::int64_t kTrustedBusyNs = 10'000'000;
+/// How far apart equal devices can measure on a sample under
+/// kTrustedBusyNs. A short sample must show that much more skew than the
+/// policy threshold before the controller acts on it.
 constexpr double kShortSampleSpread = 1.3;
 
 }  // namespace
 
 std::vector<double> estimate_rates(
-    const std::vector<DeviceRateSample>& samples) {
+    const std::vector<vgpu::RateSample>& samples) {
   std::vector<double> rates;
   rates.reserve(samples.size());
-  for (const DeviceRateSample& sample : samples) {
+  for (const vgpu::RateSample& sample : samples) {
     if (sample.cells <= 0 || sample.busy_ns <= 0) return {};
     rates.push_back(static_cast<double>(sample.cells) * 1e9 /
                     static_cast<double>(sample.busy_ns));

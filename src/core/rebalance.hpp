@@ -1,10 +1,12 @@
-// Feedback-driven dynamic load rebalancing.
+// Feedback-driven dynamic load rebalancing, and the one device-rate
+// estimator the planner shares with it.
 //
-// The column split is decided once, up front, from device weights (spec
-// GCUPS or a calibration run). When a weight is wrong — a mispredicted
-// profile, a device throttled mid-run — the whole fine-grain pipeline
-// drains at the laggard's rate while every faster device burns its time
-// waiting on borders. This module closes the loop:
+// The column split is decided once, up front, from device weights (each
+// device's measured rate window, or its spec GCUPS while a window is
+// short). When a weight is wrong — a mispredicted profile, a device
+// throttled mid-run — the whole fine-grain pipeline drains at the
+// laggard's rate while every faster device burns its time waiting on
+// borders. This module closes the loop:
 //
 //   SliceRunner ──ProgressEvent{cells, busy_ns}──► RebalanceController
 //        ▲                                              │
@@ -30,6 +32,7 @@
 #include <vector>
 
 #include "core/slice_runner.hpp"
+#include "vgpu/device.hpp"
 
 namespace mgpusw::core {
 
@@ -52,18 +55,21 @@ struct RebalancePolicy {
   int max_resplits = 2;
 };
 
-/// One device's compute totals between two observation points.
-struct DeviceRateSample {
-  std::int64_t cells = 0;    // cells actually scored
-  std::int64_t busy_ns = 0;  // kernel time incl. throttle, stalls excluded
-};
+/// Kernel time a device must have measured before its rate is trusted:
+/// below it, two threads of a shared host, or two slices whose rows
+/// differ in how many blocks fall back to a wider precision, can measure
+/// far apart on equal devices. The planner uses spec weights until every
+/// device's rate window holds this much; the rebalancer asks a shorter
+/// sample for more skew.
+inline constexpr std::int64_t kTrustedBusyNs = 10'000'000;
 
 /// Effective cell rate per device (cells per second) from per-device
-/// compute totals. Returns an empty vector when any device has no
-/// measurable sample yet (zero cells or zero busy time) — callers treat
-/// that as "not enough data, keep waiting".
+/// compute totals — the one place (cells, busy_ns) becomes a rate.
+/// Returns an empty vector when any device has no measurable sample yet
+/// (zero cells or zero busy time) — callers treat that as "not enough
+/// data, keep waiting".
 [[nodiscard]] std::vector<double> estimate_rates(
-    const std::vector<DeviceRateSample>& samples);
+    const std::vector<vgpu::RateSample>& samples);
 
 /// How lopsided a split is, given the share of columns each device was
 /// planned to own and its observed rate: the ratio of the slowest
@@ -90,9 +96,10 @@ struct DeviceRateSample {
 /// on a thread, a host preemption inside a call, the block rows whose
 /// path of high scores forces a wider precision — and on samples of a
 /// few units one such unit would swing a cumulative rate past the
-/// threshold. While any device has run under 10 ms of kernel time, the
-/// skew must also beat the policy threshold by a further factor of 1.3
-/// (see rebalance.cpp), the spread equal devices show on such samples.
+/// threshold. While any device has run under kTrustedBusyNs of kernel
+/// time, the skew must also beat the policy threshold by a further
+/// factor of 1.3 (see rebalance.cpp), the spread equal devices show on
+/// such samples.
 ///
 /// Lifecycle (per engine attempt): construct → set_planned_shares(from
 /// the engine's plan) → wire stop_flag() into EngineConfig::stop_request
@@ -132,7 +139,7 @@ class RebalanceController {
     bool seen = false;
     std::int64_t baseline_units = 0;  // units completed before we watched
     std::int64_t units = 0;           // latest completed_units
-    DeviceRateSample total;           // cumulative at the latest event
+    vgpu::RateSample total;           // cumulative at the latest event
     std::vector<double> unit_rates;   // one per measurable unit
   };
 

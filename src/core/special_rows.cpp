@@ -7,6 +7,7 @@
 
 #include "base/crc32.hpp"
 #include "base/error.hpp"
+#include "base/log.hpp"
 
 namespace mgpusw::core {
 
@@ -198,9 +199,11 @@ std::int64_t SpecialRowStore::last_restartable_row(
       return *it;
     } catch (const Error& e) {
       // Incomplete, F-less, or failing its CRC: fall back to an older
-      // checkpoint instead of aborting the whole recovery.
-      std::fprintf(stderr, "mgpusw: skipping special row %lld: %s\n",
-                   static_cast<long long>(*it), e.what());
+      // checkpoint instead of aborting the whole recovery. Incomplete
+      // rows are normal after a device loss or a rebalance stop, so this
+      // is a debug note, not a warning.
+      MGPUSW_LOG(kDebug) << "skipping special row " << *it << ": "
+                         << e.what();
     }
   }
   return -1;

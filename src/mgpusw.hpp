@@ -25,7 +25,6 @@
 #include "base/json.hpp"      // IWYU pragma: export
 #include "base/time.hpp"      // IWYU pragma: export
 #include "comm/channel.hpp"   // IWYU pragma: export
-#include "core/balance.hpp"   // IWYU pragma: export
 #include "core/batch.hpp"     // IWYU pragma: export
 #include "core/engine.hpp"    // IWYU pragma: export
 #include "core/fleet.hpp"     // IWYU pragma: export

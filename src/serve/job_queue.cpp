@@ -173,9 +173,10 @@ void JobQueue::mark_completing(const std::shared_ptr<Job>& job) {
 }
 
 void JobQueue::finish(const std::shared_ptr<Job>& job, JobState state,
-                      std::string error_message) {
+                      std::string error_message,
+                      const std::function<void()>& before_wake) {
   MGPUSW_REQUIRE(is_terminal(state), "finish() needs a terminal state");
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   job->state = state;
   job->error = std::move(error_message);
   job->done_ns = steady_ns() - epoch_ns_;
@@ -190,6 +191,13 @@ void JobQueue::finish(const std::shared_ptr<Job>& job, JobState state,
   // The freed running slot may make another of this tenant's jobs
   // runnable.
   runnable_cv_.notify_all();
+  if (before_wake) {
+    job->settling = true;
+    lock.unlock();
+    before_wake();
+    lock.lock();
+    job->settling = false;
+  }
   terminal_cv_.notify_all();
 }
 
@@ -239,7 +247,8 @@ std::shared_ptr<Job> JobQueue::find(std::int64_t job_id) {
 
 void JobQueue::wait_terminal(const std::shared_ptr<Job>& job) {
   std::unique_lock<std::mutex> lock(mu_);
-  terminal_cv_.wait(lock, [&] { return is_terminal(job->state); });
+  terminal_cv_.wait(lock,
+                    [&] { return is_terminal(job->state) && !job->settling; });
 }
 
 SubmitRequest JobQueue::spec(const std::shared_ptr<Job>& job) {

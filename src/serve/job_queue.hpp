@@ -20,6 +20,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -49,6 +50,9 @@ struct Job {
   SubmitRequest spec;
 
   JobState state = JobState::kQueued;
+  /// Set while finish() runs its before_wake step: the job is terminal,
+  /// but RESULT waiters are not woken until the step is done.
+  bool settling = false;
   std::atomic<bool> cancel{false};
   core::BatchItemResult entry;  // result + recovery bookkeeping
   std::string error;            // failure message (kFailed)
@@ -144,12 +148,16 @@ class JobQueue {
   std::shared_ptr<Job> next();
 
   /// The scheduler finished running `job` (any outcome): settles the
-  /// tenant's running quota, stamps the terminal state, wakes RESULT
-  /// waiters, and releases the job's inputs — its sequences and the
-  /// spec's inline bases — which a terminal job never needs again (the
-  /// journal re-serves it from its outcome). `state` must be terminal.
+  /// tenant's running quota, stamps the terminal state, releases the
+  /// job's inputs — its sequences and the spec's inline bases — which a
+  /// terminal job never needs again (the journal re-serves it from its
+  /// outcome), runs `before_wake` outside the queue lock, and only then
+  /// wakes RESULT waiters. The daemon compacts its journal in
+  /// `before_wake`, so a client that has its RESULT finds the job's
+  /// bases already gone from the log. `state` must be terminal.
   void finish(const std::shared_ptr<Job>& job, JobState state,
-              std::string error_message = {});
+              std::string error_message = {},
+              const std::function<void()>& before_wake = {});
 
   /// Moves a running job to kCompleting (the engine is done; the result
   /// is being published). Cancel is a no-op from here on.

@@ -861,6 +861,10 @@ void AlignServer::run_job(const std::shared_ptr<Job>& job) {
   JournalRecord terminal;
   terminal.job_id = job->id;
   terminal.resumed_row = job->resumed_row;
+  // Compaction runs between the job turning terminal (its bases
+  // released) and its RESULT waiters waking: a stop() that follows a
+  // client's RESULT then finds the job's bases already out of the log.
+  const auto compact = [this] { maybe_compact(); };
   try {
     core::run_batch_item(batch, *fleet_, item, job->entry);
   } catch (const std::exception& e) {
@@ -871,15 +875,14 @@ void AlignServer::run_job(const std::shared_ptr<Job>& job) {
       terminal.kind = JournalRecord::Kind::kCancelled;
       journal_terminal(*job, terminal);
       metrics_.counter("serve.jobs_cancelled").increment();
-      queue_.finish(job, JobState::kCancelled);
+      queue_.finish(job, JobState::kCancelled, {}, compact);
     } else {
       terminal.kind = JournalRecord::Kind::kFailed;
       terminal.error = e.what();
       journal_terminal(*job, terminal);
       metrics_.counter("serve.jobs_failed").increment();
-      queue_.finish(job, JobState::kFailed, e.what());
+      queue_.finish(job, JobState::kFailed, e.what(), compact);
     }
-    maybe_compact();
     return;
   }
   queue_.mark_completing(job);
@@ -894,10 +897,9 @@ void AlignServer::run_job(const std::shared_ptr<Job>& job) {
   terminal.result_json = core::to_json(job->entry.result);
   journal_terminal(*job, terminal);
   metrics_.counter("serve.jobs_completed").increment();
-  queue_.finish(job, JobState::kDone);
+  queue_.finish(job, JobState::kDone, {}, compact);
   metrics_.histogram("serve.submit_to_done_ms")
       .observe(static_cast<double>(job->done_ns - job->submit_ns) / 1e6);
-  maybe_compact();
 }
 
 }  // namespace mgpusw::serve

@@ -63,9 +63,8 @@ BlockResult compute_block_i8(const ScoreScheme& scheme,
 /// compute_block_i8, except that a block whose incoming H values are not
 /// int8-representable (probed at the corner and two border ends) starts
 /// at int16, and that a host whose dispatched backend is scalar runs
-/// compute_block. Device specs and calibration name it to ask for "the
-/// narrowest precision that is safe for this block" without naming a
-/// width.
+/// compute_block. Device specs name it to ask for "the narrowest
+/// precision that is safe for this block" without naming a width.
 BlockResult compute_block_auto(const ScoreScheme& scheme,
                                const BlockArgs& args);
 

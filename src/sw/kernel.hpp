@@ -1,10 +1,10 @@
 // Block-kernel registry: every way this repo can compute a block, by name.
 //
-// The engine, the vgpu executors, device calibration, the benches and the
-// CLI --kernel flags all select block kernels through this table instead
-// of hard-coding calls, so adding a kernel (a new traversal, a new ISA
-// backend, a future per-device heterogeneous choice) is one registration
-// here plus nothing anywhere else.
+// The engine, the vgpu executors, the benches and the CLI --kernel flags
+// all select block kernels through this table instead of hard-coding
+// calls, so adding a kernel (a new traversal, a new ISA backend, a future
+// per-device heterogeneous choice) is one registration here plus nothing
+// anywhere else.
 //
 // Registered names:
 //   row          scalar row sweep (the reference every other entry is

@@ -35,7 +35,10 @@ Device::Device(DeviceSpec spec, DeviceOptions options)
 void Device::set_slowdown(double slowdown) {
   MGPUSW_REQUIRE(slowdown >= 1.0,
                  "slowdown must be >= 1.0, got " << slowdown);
-  slowdown_.store(slowdown, std::memory_order_relaxed);
+  std::lock_guard lock(window_mu_);
+  slowdown_.store(slowdown);
+  window_ = {};
+  window_epoch_.fetch_add(1);
 }
 
 Device::~Device() { pool_->shutdown(); }
@@ -52,7 +55,11 @@ void Device::account_kernel(std::int64_t busy_ns, std::int64_t cells) {
   kernels_.fetch_add(1, std::memory_order_relaxed);
   cells_.fetch_add(cells, std::memory_order_relaxed);
   std::int64_t total_ns = busy_ns;
-  const double slowdown = slowdown_.load(std::memory_order_relaxed);
+  // Epoch before throttle (set_slowdown writes them in the opposite
+  // order): a kernel that saw the current epoch also pays the current
+  // throttle's penalty.
+  const std::int64_t epoch = window_epoch_.load();
+  const double slowdown = slowdown_.load();
   if (slowdown > 1.0) {
     const auto penalty = static_cast<std::int64_t>(
         (slowdown - 1.0) * static_cast<double>(busy_ns));
@@ -65,6 +72,19 @@ void Device::account_kernel(std::int64_t busy_ns, std::int64_t cells) {
     total_ns += penalty;
   }
   busy_ns_.fetch_add(total_ns, std::memory_order_relaxed);
+  std::lock_guard lock(window_mu_);
+  if (window_epoch_.load(std::memory_order_relaxed) != epoch) return;
+  window_.cells += cells;
+  window_.busy_ns += total_ns;
+  if (window_.busy_ns > kRateWindowNs) {
+    window_.cells /= 2;
+    window_.busy_ns /= 2;
+  }
+}
+
+RateSample Device::rate_window() const {
+  std::lock_guard lock(window_mu_);
+  return window_;
 }
 
 DeviceBuffer Device::allocate(std::int64_t bytes) {

@@ -12,12 +12,18 @@
 // measured kernel time after each kernel, making its effective cell rate
 // 1/s of the untrottled rate. Model-mode experiments instead use the
 // spec's GCUPS figure directly (see src/sim).
+//
+// Each device also keeps a rate window: the kernel time and cells of its
+// recent work, restarted whenever the throttle changes. The planner turns
+// it into the device's measured speed (core::estimate_rates), so slices
+// follow what the devices actually deliver rather than their profiles.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 
 #include "base/thread_pool.hpp"
 #include "vgpu/spec.hpp"
@@ -32,6 +38,12 @@ struct DeviceOptions {
   int worker_threads = 1;
   /// Speed throttle >= 1.0; 1.0 = full host speed.
   double slowdown = 1.0;
+};
+
+/// Compute totals over some span of a device's work.
+struct RateSample {
+  std::int64_t cells = 0;    // cells actually scored
+  std::int64_t busy_ns = 0;  // kernel time incl. throttle, stalls excluded
 };
 
 /// RAII handle for a tracked device allocation.
@@ -55,6 +67,8 @@ class Device {
   /// flight finish at the old rate; later ones pay the new penalty. This
   /// is how tests and benches model a device degrading under load —
   /// thermal throttling, a noisy co-tenant — after the split was planned.
+  /// Restarts the rate window: work measured at the old throttle no
+  /// longer describes the device.
   void set_slowdown(double slowdown);
 
   /// Submits a task to the device's workers (kernel launch stand-in).
@@ -64,7 +78,9 @@ class Device {
   void synchronize();
 
   /// Busy-waits the throttle penalty for a kernel that took busy_ns of
-  /// host time, and accounts the kernel into the device counters.
+  /// host time, and accounts the kernel into the device counters and the
+  /// rate window. A kernel whose penalty was paid at a throttle that has
+  /// since changed stays out of the restarted window.
   void account_kernel(std::int64_t busy_ns, std::int64_t cells);
 
   /// Allocates tracked device memory; throws DeviceLostError when the
@@ -100,6 +116,14 @@ class Device {
     return cells_.load(std::memory_order_relaxed);
   }
 
+  /// Kernel totals since the window last restarted (construction or
+  /// set_slowdown), as one consistent pair. Once the window holds more
+  /// than kRateWindowNs of kernel time both totals are halved, so the
+  /// window follows the device's recent speed, not its lifetime mean.
+  [[nodiscard]] RateSample rate_window() const;
+
+  static constexpr std::int64_t kRateWindowNs = 1'000'000'000;
+
  private:
   friend class DeviceBuffer;
   void release(std::int64_t bytes);
@@ -114,6 +138,11 @@ class Device {
   std::atomic<std::int64_t> kernels_{0};
   std::atomic<std::int64_t> busy_ns_{0};
   std::atomic<std::int64_t> cells_{0};
+  mutable std::mutex window_mu_;
+  RateSample window_;  // guarded by window_mu_
+  /// Bumped by set_slowdown (after the new throttle is stored), so a
+  /// kernel that read the old throttle can tell its sample is stale.
+  std::atomic<std::int64_t> window_epoch_{0};
 };
 
 class DeviceBuffer {

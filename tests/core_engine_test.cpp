@@ -3,12 +3,14 @@
 // borders through circular buffers changes nothing about the result.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 
 #include "base/error.hpp"
-#include "core/balance.hpp"
 #include "core/engine.hpp"
+#include "core/partition.hpp"
+#include "core/rebalance.hpp"
 #include "core/recovery.hpp"
 #include "core/report.hpp"
 #include "core/special_rows.hpp"
@@ -28,6 +30,7 @@ using core::BalanceMode;
 using core::EngineConfig;
 using core::EngineResult;
 using core::MultiDeviceEngine;
+using core::partition_columns;
 using core::Transport;
 using seq::Sequence;
 
@@ -345,7 +348,7 @@ TEST(EngineFuzzTest, RandomConfigurationsAreExact) {
                                          : core::Schedule::kDiagonal;
     const auto& registry = sw::kernel_registry();
     config.kernel = registry[rng.next_below(registry.size())].name;
-    config.balance = rng.next_bool(0.5) ? BalanceMode::kSpecGcups
+    config.balance = rng.next_bool(0.5) ? BalanceMode::kDeviceRate
                                         : BalanceMode::kEqual;
 
     const auto device_count = static_cast<int>(rng.next_range(1, 4));
@@ -609,35 +612,142 @@ TEST(EngineSpecialRowsTest, SavesEveryKthBlockRowAcrossDevices) {
 }
 
 // ---------------------------------------------------------------------------
-// balance / calibration
+// balance: plan weights from the devices' rate windows
 
-TEST(BalanceTest, SpecWeights) {
-  DeviceFleet fleet(2, 10.0, 30.0);
-  const auto weights = core::spec_weights(fleet.pointers());
-  ASSERT_EQ(weights.size(), 2u);
-  EXPECT_DOUBLE_EQ(weights[0], 10.0);
-  EXPECT_DOUBLE_EQ(weights[1], 40.0);
+/// Gives every device `busy_ns` of synthetic kernel time at `cells` each
+/// (unthrottled devices pay no penalty, so no time passes).
+void warm(const std::vector<vgpu::Device*>& devices, std::int64_t busy_ns,
+          const std::vector<std::int64_t>& cells) {
+  for (std::size_t d = 0; d < devices.size(); ++d) {
+    devices[d]->account_kernel(busy_ns, cells[d]);
+  }
 }
 
-TEST(BalanceTest, CalibrationReturnsPositiveRates) {
-  DeviceFleet fleet(2);
-  const auto weights = core::calibrate_weights(
-      fleet.pointers(), sw::ScoreScheme{}, 256, 256);
-  ASSERT_EQ(weights.size(), 2u);
-  EXPECT_GT(weights[0], 0.0);
-  EXPECT_GT(weights[1], 0.0);
+TEST(BalanceTest, SpecWeights) {
+  // Cold devices split by spec GCUPS over the throttle.
+  DeviceFleet fleet(2, 10.0, 30.0);
+  MultiDeviceEngine engine(small_config(), fleet.pointers());
+  EXPECT_EQ(engine.plan_partition(3200),
+            partition_columns(3200, {10.0, 40.0}, 32));
+  fleet.pointers()[1]->set_slowdown(2.0);
+  EXPECT_EQ(engine.plan_partition(3200),
+            partition_columns(3200, {10.0, 20.0}, 32));
+}
+
+TEST(BalanceTest, WarmEqualDevicesSplitEqually) {
+  // Spec ratings 10:20:30, but the devices measure the same rate.
+  DeviceFleet fleet(3, 10.0, 10.0);
+  MultiDeviceEngine engine(small_config(), fleet.pointers());
+  const std::int64_t cols = 9600;
+  EXPECT_EQ(engine.plan_partition(cols),
+            partition_columns(cols, {10.0, 20.0, 30.0}, 32));
+  warm(fleet.pointers(), core::kTrustedBusyNs,
+       {5'000'000, 5'000'000, 5'000'000});
+  for (const core::ColumnRange& range : engine.plan_partition(cols)) {
+    EXPECT_NEAR(static_cast<double>(range.cols), cols / 3.0, 32.0);
+  }
+}
+
+TEST(BalanceTest, OneColdDeviceKeepsSpecWeights) {
+  DeviceFleet fleet(3, 10.0, 10.0);
+  const std::vector<vgpu::Device*> devices = fleet.pointers();
+  MultiDeviceEngine engine(small_config(), devices);
+  warm({devices[0], devices[1]}, core::kTrustedBusyNs, {1'000, 9'000'000});
+  devices[2]->account_kernel(core::kTrustedBusyNs - 1, 9'000'000);
+  EXPECT_EQ(engine.plan_partition(9600),
+            partition_columns(9600, {10.0, 20.0, 30.0}, 32));
+  devices[2]->account_kernel(1, 0);  // now every window is trusted
+  EXPECT_NE(engine.plan_partition(9600),
+            partition_columns(9600, {10.0, 20.0, 30.0}, 32));
+}
+
+TEST(BalanceTest, ThrottleFallsBackToSpecUntilRemeasured) {
+  DeviceFleet fleet(3);
+  const std::vector<vgpu::Device*> devices = fleet.pointers();
+  MultiDeviceEngine engine(small_config(), devices);
+  warm(devices, core::kTrustedBusyNs, {8'000'000, 8'000'000, 8'000'000});
+  EXPECT_EQ(engine.plan_partition(9600),
+            partition_columns(9600, {1.0, 1.0, 1.0}, 32));
+
+  devices[0]->set_slowdown(4.0);
+  EXPECT_EQ(engine.plan_partition(9600),
+            partition_columns(9600, {2.5, 10.0, 10.0}, 32));
+
+  // 3 ms of kernel time pays a 9 ms penalty: a 12 ms window at a
+  // quarter of the others' cells per ns.
+  devices[0]->account_kernel(3'000'000, 2'400'000);
+  const std::vector<core::ColumnRange> remeasured =
+      engine.plan_partition(9600);
+  EXPECT_EQ(remeasured, partition_columns(9600, {2e8, 8e8, 8e8}, 32));
+  EXPECT_LT(remeasured[0].cols, remeasured[1].cols / 3);
 }
 
 TEST(BalanceTest, ThrottledDeviceMeasuresSlower) {
-  // The 4x-throttled device should measure ~4x slower; a loaded
-  // single-core host adds scheduler noise, so require only a clear
-  // separation (>1.7x) over a large enough sample to dominate jitter.
+  // Real kernels on an equal split: the 4x-throttled device's window
+  // must read clearly slower. A loaded host adds scheduler noise, so
+  // require only a clear separation (>1.7x).
   vgpu::Device fast(vgpu::toy_device(10.0));
   vgpu::Device slow(vgpu::toy_device(10.0),
                     vgpu::DeviceOptions{.slowdown = 4.0});
-  const auto weights = core::calibrate_weights(
-      {&fast, &slow}, sw::ScoreScheme{}, 1024, 1024);
-  EXPECT_GT(weights[0], weights[1] * 1.7);
+  EngineConfig config = small_config();
+  config.balance = BalanceMode::kEqual;
+  MultiDeviceEngine engine(config, {&fast, &slow});
+  auto [a, b] = testutil::related_pair(1024, 12);
+  (void)engine.run(a, b);
+  const std::vector<double> rates =
+      core::estimate_rates({fast.rate_window(), slow.rate_window()});
+  ASSERT_EQ(rates.size(), 2u);
+  EXPECT_GT(rates[0], rates[1] * 1.7);
+}
+
+// A sequence of runs on the same devices whose split changes from run to
+// run — windows warming, throttles restarting them, measured rates
+// drifting — stays exact whatever the kernel, schedule and transport.
+TEST(EngineRateSplitTest, RandomRunSequenceStaysExact) {
+  base::Rng rng(20261019);
+  DeviceFleet fleet(3, 10.0, 7.0);
+  const std::vector<vgpu::Device*> devices = fleet.pointers();
+  const std::vector<std::string> kernels = {"auto", "simd", "simd16", "row"};
+  std::vector<std::vector<core::ColumnRange>> splits;
+  for (int run = 0; run < 12; ++run) {
+    switch (rng.next_below(3)) {
+      case 0:  // measured rates drift apart
+        for (vgpu::Device* device : devices) {
+          device->account_kernel(core::kTrustedBusyNs,
+                                 rng.next_range(1'000'000, 20'000'000));
+        }
+        break;
+      case 1:  // a throttle change restarts one window: spec for all
+        devices[rng.next_below(devices.size())]->set_slowdown(1.0);
+        break;
+      default:  // the previous runs' windows alone
+        break;
+    }
+    EngineConfig config = small_config();
+    config.kernel = kernels[rng.next_below(kernels.size())];
+    config.schedule = rng.next_bool(0.5) ? core::Schedule::kRowMajor
+                                         : core::Schedule::kDiagonal;
+    if (rng.next_bool(0.5)) {
+      config.transport = Transport::kTcp;
+      config.comm_timeout_ms = 5000;
+    }
+    MultiDeviceEngine engine(config, devices);
+    auto [a, b] = testutil::related_pair(rng.next_range(200, 400),
+                                         rng.next_u64());
+    const std::vector<core::ColumnRange> split =
+        engine.plan_partition(b.size());
+    const EngineResult result = engine.run(a, b);
+    SCOPED_TRACE("run " + std::to_string(run) + ": " + config.kernel);
+    EXPECT_EQ(result.best, linear_score(config.scheme, a, b));
+    ASSERT_EQ(result.devices.size(), split.size());
+    for (std::size_t d = 0; d < split.size(); ++d) {
+      EXPECT_EQ(result.devices[d].slice, split[d]);  // the run used it
+    }
+    if (std::find(splits.begin(), splits.end(), split) == splits.end()) {
+      splits.push_back(split);
+    }
+  }
+  EXPECT_GE(splits.size(), 3u);  // distinct splits the sequence ran
 }
 
 // ---------------------------------------------------------------------------
@@ -718,7 +828,7 @@ TEST(EngineFusedRowTest, RandomDrawsMatchLinearAndPerBlockPath) {
     config.buffer_capacity = rng.next_range(1, 6);
     config.kernel = kernels[rng.next_below(kernels.size())];
     config.balance =
-        rng.next_bool(0.5) ? BalanceMode::kSpecGcups : BalanceMode::kEqual;
+        rng.next_bool(0.5) ? BalanceMode::kDeviceRate : BalanceMode::kEqual;
     if (rng.next_bool(0.3)) {
       config.transport = Transport::kTcp;
       config.comm_timeout_ms = 5000;
@@ -802,11 +912,22 @@ TEST(EngineFusedRowTest, RandomDrawsMatchLinearAndPerBlockPath) {
               kernel_fault_site(per_block, a, b, ordinal));
 
     // A device dies inside a block row (J > 0) and the run recovers.
+    // The block is drawn from a plan, so these runs pin its split (the
+    // cold-device split) rather than read the windows the runs above
+    // filled.
+    std::vector<double> split_weights;
+    for (const vgpu::Device* device : fleet.pointers()) {
+      split_weights.push_back(config.balance == BalanceMode::kEqual
+                                  ? 1.0
+                                  : device->spec().sw_gcups);
+    }
     const core::AlignmentPlan plan =
-        MultiDeviceEngine(EngineConfig{.block_rows = config.block_rows,
-                                       .block_cols = config.block_cols,
-                                       .balance = config.balance},
-                          fleet.pointers())
+        MultiDeviceEngine(
+            EngineConfig{.block_rows = config.block_rows,
+                         .block_cols = config.block_cols,
+                         .balance = BalanceMode::kCustomWeights,
+                         .custom_weights = split_weights},
+            fleet.pointers())
             .plan(rows, cols);
     std::vector<int> wide;
     for (int d = 0; d < device_count; ++d) {
@@ -829,6 +950,8 @@ TEST(EngineFusedRowTest, RandomDrawsMatchLinearAndPerBlockPath) {
       vgpu::FaultInjector injector(vgpu::parse_fault_plan(fault));
       core::SpecialRowStore checkpoints;
       EngineConfig faulty = *path;
+      faulty.balance = BalanceMode::kCustomWeights;
+      faulty.custom_weights = split_weights;
       faulty.fault = &injector;
       if (faulty.special_row_interval > 0) {
         faulty.special_rows = &checkpoints;

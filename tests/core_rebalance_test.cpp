@@ -24,7 +24,6 @@
 namespace mgpusw {
 namespace {
 
-using core::DeviceRateSample;
 using core::EngineConfig;
 using core::MultiDeviceEngine;
 using core::ProgressEvent;
@@ -33,12 +32,13 @@ using core::RebalancePolicy;
 using core::RecoveryPolicy;
 using core::RecoveryResult;
 using core::run_with_recovery;
+using vgpu::RateSample;
 
 // ---------------------------------------------------------------------------
 // Rate estimation and imbalance arithmetic (pure functions).
 
 TEST(RebalanceMathTest, EstimateRatesConvertsToCellsPerSecond) {
-  const std::vector<DeviceRateSample> samples = {
+  const std::vector<RateSample> samples = {
       {1'000'000, 1'000'000'000},  // 1e6 cells in 1 s
       {500'000, 250'000'000},      // 5e5 cells in 0.25 s
   };

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "base/error.hpp"
+#include "base/log.hpp"
 #include "core/batch.hpp"
 #include "core/engine.hpp"
 #include "core/fleet.hpp"
@@ -110,6 +111,39 @@ INSTANTIATE_TEST_SUITE_P(
                   ? "RowMajor"
                   : "Diagonal");
     });
+
+// A restart after a device death meets checkpoint rows the dead device
+// never finished. Skipping them is routine: a debug note, never an
+// internal-check failure on stderr at the default log level.
+TEST(RecoveryTest, SkippedCheckpointRowsStayOffStderr) {
+  auto [a, b] = testutil::related_pair(320, 206);
+  const auto recover = [&a, &b] {
+    EngineConfig config = small_blocks(core::Transport::kInProcess,
+                                       core::Schedule::kRowMajor);
+    Pool3 pool;
+    FaultInjector injector(parse_fault_plan("dev1:die@kernel=12"));
+    config.fault = &injector;
+    config.buffer_capacity = 8;  // device 0 runs rows ahead of device 1
+    RecoveryPolicy policy;
+    policy.max_restarts = 2;
+    policy.checkpoint_interval = 1;
+    testing::internal::CaptureStderr();
+    const RecoveryResult recovered =
+        run_with_recovery(config, pool.all(), a, b, policy);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(recovered.restarts, 1);
+    EXPECT_EQ(recovered.result.best,
+              sw::linear_score(sw::ScoreScheme{}, a, b));
+    return err;
+  };
+  const base::LogLevel level = base::log_level();
+  EXPECT_EQ(recover().find("MGPUSW_CHECK failed"), std::string::npos);
+  // The same restart at debug level shows the rows were there to skip.
+  base::set_log_level(base::LogLevel::kDebug);
+  const std::string debug = recover();
+  base::set_log_level(level);
+  EXPECT_NE(debug.find("skipping special row"), std::string::npos);
+}
 
 // ---------------------------------------------------------------------------
 // Transient faults: retried on the full pool, nothing lost.

@@ -78,6 +78,63 @@ TEST(DeviceTest, ThrottleAddsPenalty) {
   EXPECT_GE(slow.busy_ns(), 5'500'000);
 }
 
+// ---------------------------------------------------------------------------
+// rate window
+
+TEST(RateWindowTest, CountsKernelsAndRestartsOnSlowdown) {
+  vgpu::Device device(vgpu::toy_device(1.0));
+  EXPECT_EQ(device.rate_window().busy_ns, 0);
+  device.account_kernel(1000, 12345);
+  device.account_kernel(2000, 55);
+  EXPECT_EQ(device.rate_window().cells, 12400);
+  EXPECT_EQ(device.rate_window().busy_ns, 3000);
+  device.set_slowdown(2.0);
+  EXPECT_EQ(device.rate_window().cells, 0);  // throttle changed
+  EXPECT_EQ(device.rate_window().busy_ns, 0);
+  EXPECT_EQ(device.cells_computed(), 12400);  // lifetime totals stay
+  device.account_kernel(1000, 100);           // pays a 1000 ns penalty
+  EXPECT_EQ(device.rate_window().cells, 100);
+  EXPECT_EQ(device.rate_window().busy_ns, 2000);
+}
+
+TEST(RateWindowTest, HalvesOnceItSpansMoreThanItsWindow) {
+  vgpu::Device device(vgpu::toy_device(1.0));
+  const std::int64_t span = vgpu::Device::kRateWindowNs;
+  device.account_kernel(span, 4000);
+  EXPECT_EQ(device.rate_window().busy_ns, span);
+  device.account_kernel(span / 2, 6000);
+  EXPECT_EQ(device.rate_window().busy_ns, span * 3 / 4);
+  EXPECT_EQ(device.rate_window().cells, 5000);
+}
+
+TEST(RateWindowTest, StaysConsistentUnderConcurrentUse) {
+  // Kernels report cells == busy_ns; the window must never show a pair
+  // that breaks it, whatever restarts and reads interleave.
+  vgpu::Device device(vgpu::toy_device(1.0));
+  std::atomic<bool> done{false};
+  std::vector<std::thread> kernels;
+  for (int t = 0; t < 3; ++t) {
+    kernels.emplace_back([&device, t] {
+      for (int i = 1; i <= 2000; ++i) {
+        device.account_kernel(i * (t + 1), i * (t + 1));
+      }
+    });
+  }
+  std::thread restarts([&device, &done] {
+    while (!done.load()) device.set_slowdown(1.0);
+  });
+  int broken = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const vgpu::RateSample window = device.rate_window();
+    if (window.cells != window.busy_ns) ++broken;
+  }
+  for (std::thread& thread : kernels) thread.join();
+  done.store(true);
+  restarts.join();
+  EXPECT_EQ(broken, 0);
+  EXPECT_EQ(device.cells_computed(), device.busy_ns());
+}
+
 TEST(DeviceTest, InvalidSlowdownThrows) {
   EXPECT_THROW(vgpu::Device(vgpu::toy_device(1.0), {.slowdown = 0.5}),
                InvalidArgument);
