@@ -323,15 +323,4 @@ BatchResult run_batch(const BatchConfig& config, DeviceFleet& fleet,
   return batch;
 }
 
-BatchResult run_batch(const EngineConfig& config,
-                      const std::vector<vgpu::Device*>& devices,
-                      const std::vector<BatchItem>& items) {
-  DeviceFleet fleet(devices);
-  BatchConfig batch_config;
-  batch_config.engine = config;
-  batch_config.devices_per_item = 0;  // every item spans all devices
-  batch_config.max_in_flight = 1;
-  return run_batch(batch_config, fleet, items);
-}
-
 }  // namespace mgpusw::core

@@ -138,10 +138,4 @@ struct BatchResult {
 void run_batch_item(const BatchConfig& config, DeviceFleet& fleet,
                     const BatchItem& item, BatchItemResult& entry);
 
-/// Legacy sequential entry point: every item spans all `devices`, one
-/// item at a time (the paper's evaluation mode).
-[[nodiscard]] BatchResult run_batch(const EngineConfig& config,
-                                    const std::vector<vgpu::Device*>& devices,
-                                    const std::vector<BatchItem>& items);
-
 }  // namespace mgpusw::core

@@ -57,9 +57,10 @@ struct EngineConfig {
   Schedule schedule = Schedule::kRowMajor;
 
   /// Block kernel, by registry name (sw::kernel_registry(); e.g. "row",
-  /// "antidiag", "strip4", "simd"). Every kernel produces bit-identical
-  /// results; they differ in traversal and speed. A device whose spec
-  /// names its own kernel overrides this default for its slice.
+  /// "simd", "simd16", "auto"). Every kernel produces bit-identical
+  /// results; they differ in traversal, lane width and speed. A device
+  /// whose spec names its own kernel overrides this default for its
+  /// slice.
   std::string kernel{sw::kDefaultKernel};
   BalanceMode balance = BalanceMode::kDeviceRate;
   std::vector<double> custom_weights;  // used when balance == kCustomWeights

@@ -1,4 +1,5 @@
-// Batch alignment driver: grouping, precision ladder, backend dispatch.
+// Batch alignment driver: grouping and the precision ladder, on the
+// dispatched backend's group kernels.
 //
 // Pairs are sorted by dominant length (descending) so each vector group
 // packs similarly-sized alignments and pads little, then swept through
@@ -33,35 +34,6 @@ bool scheme_fits(const ScoreScheme& scheme, int lane_max) {
          scheme.gap_first() <= cap && scheme.gap_extend <= cap;
 }
 
-using GroupFn = void (*)(const ScoreScheme&, const PairView*, int,
-                         ScoreResult*, bool*);
-
-struct BatchDispatch {
-  GroupFn i16;
-  GroupFn i8;
-  int i16_lanes;  // group size per tier: backends differ in lane count
-  int i8_lanes;
-};
-
-BatchDispatch resolve() {
-  const SimdIsa isa = detected_simd_isa();
-  if (isa >= SimdIsa::kAvx2 && simd_backend_runnable(SimdIsa::kAvx2)) {
-    return {&simd_avx2::batch_group_i16, &simd_avx2::batch_group_i8,
-            simd_avx2::batch_i16_lanes(), simd_avx2::batch_i8_lanes()};
-  }
-  if (isa >= SimdIsa::kSse42 && simd_backend_runnable(SimdIsa::kSse42)) {
-    return {&simd_sse42::batch_group_i16, &simd_sse42::batch_group_i8,
-            simd_sse42::batch_i16_lanes(), simd_sse42::batch_i8_lanes()};
-  }
-  return {&simd_scalar::batch_group_i16, &simd_scalar::batch_group_i8,
-          simd_scalar::batch_i16_lanes(), simd_scalar::batch_i8_lanes()};
-}
-
-const BatchDispatch& batch_dispatch() {
-  static const BatchDispatch d = resolve();
-  return d;
-}
-
 /// Exact per-pair score: one full-width block with matrix-edge borders —
 /// the same computation linear_score performs.
 ScoreResult exact_pair_score(const ScoreScheme& scheme, const PairView& p) {
@@ -83,12 +55,13 @@ ScoreResult exact_pair_score(const ScoreScheme& scheme, const PairView& p) {
   args.bottom_f = row_f.data();
   args.right_h = col_h.data();
   args.right_e = col_e.data();
-  return compute_block_simd(scheme, args).best;
+  return compute_block_simd<SimdWidth::kI32>(scheme, args).best;
 }
 
 /// Runs one precision tier over the pending pair indices; overflowing
 /// indices (in the same relative order) become the next tier's input.
-void run_tier(GroupFn fn, int lanes, const ScoreScheme& scheme,
+void run_tier(SimdBackend::BatchGroupFn fn, int lanes,
+              const ScoreScheme& scheme,
               const std::vector<PairView>& pairs,
               const std::vector<std::size_t>& pending,
               std::vector<ScoreResult>& results,
@@ -165,12 +138,13 @@ std::vector<ScoreResult> batch_align_scores(const ScoreScheme& scheme,
               return a < b;
             });
 
-  const BatchDispatch& d = batch_dispatch();
+  const SimdBackend& d = dispatched_simd_backend();
   std::vector<std::size_t> next;
   bool narrower_attempted = false;
 
   if (try_i8 && scheme_fits(scheme, kI8Max)) {
-    run_tier(d.i8, d.i8_lanes, scheme, pairs, pending, results, next, st);
+    run_tier(d.batch_i8, d.batch_i8_lanes, scheme, pairs, pending, results,
+             next, st);
     narrower_attempted = true;
     pending.swap(next);
     next.clear();
@@ -179,8 +153,8 @@ std::vector<ScoreResult> batch_align_scores(const ScoreScheme& scheme,
     if (narrower_attempted) {
       st.overflow_reruns += static_cast<std::int64_t>(pending.size());
     }
-    run_tier(d.i16, d.i16_lanes, scheme, pairs, pending, results, next,
-             st);
+    run_tier(d.batch_i16, d.batch_i16_lanes, scheme, pairs, pending,
+             results, next, st);
     narrower_attempted = true;
     pending.swap(next);
     next.clear();

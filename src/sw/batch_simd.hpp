@@ -18,7 +18,7 @@
 // are scattered back in input order.
 //
 // Precision follows the same saturating ladder as the narrow block
-// kernels (sw/block_simd_lp.hpp): each lane's maximum H is checked
+// kernels (sw/block_simd.hpp): each lane's maximum H is checked
 // against the saturation watermark (kMax - match) and overflowing pairs
 // are re-run at the next wider precision — int8 -> int16 -> exact
 // full-precision fallback — so every reported ScoreResult is
@@ -65,37 +65,5 @@ struct BatchStats {
 [[nodiscard]] std::vector<ScoreResult> batch_align_scores(
     const ScoreScheme& scheme, const std::vector<PairView>& pairs,
     const std::string& kernel = "interseq", BatchStats* stats = nullptr);
-
-// Per-backend group entry points (instantiated by the backend TUs from
-// batch_simd_impl.hpp). Each computes `n` (<= that backend's lane count,
-// from batch_i16_lanes/batch_i8_lanes — AVX2 runs 16/32 lanes, SSE4.2
-// its native 8/16) pairs in one vector sweep; out[k] receives pair k's
-// result, overflow[k] is set when the lane hit the saturation watermark
-// and out[k] must be recomputed wider. Callers must pre-check the scheme
-// against the width (see batch_scheme_fits in batch_simd.cpp).
-namespace simd_avx2 {
-void batch_group_i16(const ScoreScheme&, const PairView* pairs, int n,
-                     ScoreResult* out, bool* overflow);
-void batch_group_i8(const ScoreScheme&, const PairView* pairs, int n,
-                    ScoreResult* out, bool* overflow);
-int batch_i16_lanes();
-int batch_i8_lanes();
-}  // namespace simd_avx2
-namespace simd_sse42 {
-void batch_group_i16(const ScoreScheme&, const PairView* pairs, int n,
-                     ScoreResult* out, bool* overflow);
-void batch_group_i8(const ScoreScheme&, const PairView* pairs, int n,
-                    ScoreResult* out, bool* overflow);
-int batch_i16_lanes();
-int batch_i8_lanes();
-}  // namespace simd_sse42
-namespace simd_scalar {
-void batch_group_i16(const ScoreScheme&, const PairView* pairs, int n,
-                     ScoreResult* out, bool* overflow);
-void batch_group_i8(const ScoreScheme&, const PairView* pairs, int n,
-                    ScoreResult* out, bool* overflow);
-int batch_i16_lanes();
-int batch_i8_lanes();
-}  // namespace simd_scalar
 
 }  // namespace mgpusw::sw

@@ -1,5 +1,5 @@
 // Inter-sequence batch kernel — implementation, instantiated per backend
-// TU (after block_simd_lp_impl.hpp, whose width traits it reuses).
+// TU on the sw/simd_lp.hpp width traits the block kernel uses.
 //
 // One pair per lane, swept row-by-row: the lanes are independent DPs, so
 // every step is a full-width vector operation with no skew and no
@@ -183,18 +183,5 @@ void batch_group_lp(const ScoreScheme& scheme, const PairView* pairs,
 }
 
 }  // namespace lp
-
-void batch_group_i16(const ScoreScheme& scheme, const PairView* pairs,
-                     int n, ScoreResult* out, bool* overflow) {
-  lp::batch_group_lp<LpI16>(scheme, pairs, n, out, overflow);
-}
-
-void batch_group_i8(const ScoreScheme& scheme, const PairView* pairs,
-                    int n, ScoreResult* out, bool* overflow) {
-  lp::batch_group_lp<LpI8>(scheme, pairs, n, out, overflow);
-}
-
-int batch_i16_lanes() { return LpI16::kLanes; }
-int batch_i8_lanes() { return LpI8::kLanes; }
 
 }  // namespace mgpusw::sw::MGPUSW_SIMD_NS

@@ -70,6 +70,11 @@ struct BlockResult {
 /// and no allocation.
 BlockResult compute_block(const ScoreScheme& scheme, const BlockArgs& args);
 
+/// Every block kernel is a pure function of (scheme, args) with
+/// compute_block's contract (sw/kernel.hpp registers them by name).
+using BlockKernelFn = BlockResult (*)(const ScoreScheme& scheme,
+                                      const BlockArgs& args);
+
 /// Number of cell updates compute_block performs for this geometry.
 [[nodiscard]] constexpr std::int64_t block_cells(std::int64_t rows,
                                                  std::int64_t cols) {

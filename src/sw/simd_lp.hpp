@@ -1,48 +1,120 @@
-// Low-precision (int16 / int8) saturating vector shims for the narrow
-// block kernels and the inter-sequence batch kernel.
+// Vector lane-width traits for the one SIMD block kernel
+// (block_simd_lp_impl.hpp) and the inter-sequence batch kernel.
 //
-// Same per-TU backend scheme as sw/simd.hpp (which must be included
-// first to pick the backend): each backend translation unit defines
-// MGPUSW_SIMD_NS and gets an ODR-distinct instantiation compiled with its
-// own -m flags. This header adds two width traits on top of the 8x32
-// shim:
+// One set of traits, three backends, selected at *compile time of the
+// including translation unit* from the compiler's feature macros:
 //
-//   LpI16 — 16 lanes of int16 per 256-bit AVX2 vector (8 per native
-//           128-bit SSE4.2 vector; the scalar fallback emulates 16);
-//   LpI8  — 32 lanes of int8 (16 on SSE4.2).
+//   * AVX2    (__AVX2__)    — 256-bit vectors;
+//   * SSE4.2  (__SSE4_2__)  — native 128-bit vectors (SSE4.1 provides
+//                             the epi32/epi8 min/max/blend forms);
+//   * scalar  (fallback)    — plain lane arrays the autovectorizer may
+//                             still chew on; always correct, always
+//                             available, exercised on non-x86 hosts.
 //
-// All arithmetic is *saturating* (adds/subs clamp at the type limits
-// instead of wrapping), which is what makes overflow detection possible:
-// a Smith-Waterman H value can only leave the representable range
-// upwards, saturating at kMax, and any saturated cell is >= the
-// saturation watermark (kMax - match), so a post-hoc check of the
-// maximum observed H proves whether every computed value was exact.
-// Down-saturation only happens on the neg-inf gap sentinels, which can
-// never win a max against a reachable value (H >= 0 keeps the H-derived
-// branch above every clamped chain), so it never changes a result.
+// Because the backend is fixed per TU, every TU that includes this header
+// must first define MGPUSW_SIMD_NS to a unique namespace token (e.g.
+// simd_avx2). The kernels are then instantiated once per backend in their
+// own namespace — three ODR-distinct copies of the same source, each
+// compiled with different -m flags — and the cpuid-based dispatcher
+// (block_simd.cpp) picks one at runtime. A TU may define
+// MGPUSW_SIMD_FORCE_SCALAR to pin the scalar backend even when the
+// compiler would allow a vector one (the dispatcher's guaranteed
+// fallback TU does this).
 //
-// The operation set mirrors sw/simd.hpp: load/store/broadcast,
-// saturating add/sub, max, compares producing all-ones lane masks, mask
-// blends, a one-lane shift-in and a last-lane extract. shift_in's
-// incoming-element pointer must have 4 readable bytes: the vector
-// backends fetch the element with a single 32-bit load (cheaper than a
-// sub-32-bit broadcast or insert on the shuffle port) and mask off the
-// stray bytes.
+// Three width traits, the rungs of the precision ladder:
+//
+//   LpI32 — the exact rung: 8 lanes of int32 on AVX2 (4 on SSE4.2, 4
+//           emulated on scalar) with plain, non-saturating add/sub;
+//   LpI16 — 16 lanes of int16 per AVX2 vector (8 on SSE4.2, 16 emulated);
+//   LpI8  — 32 lanes of int8 (16 on SSE4.2, 32 emulated).
+//
+// The narrow rungs' arithmetic is *saturating* (adds/subs clamp at the
+// type limits instead of wrapping), which is what makes overflow
+// detection possible: a Smith-Waterman H value can only leave the
+// representable range upwards, saturating at kMax, and any saturated
+// cell is >= the saturation watermark (kMax - match), so a post-hoc
+// check of the maximum observed H proves whether every computed value
+// was exact. Down-saturation only happens on the neg-inf gap sentinels,
+// which can never win a max against a reachable value (H >= 0 keeps the
+// H-derived branch above every clamped chain), so it never changes a
+// result. kExact marks the int32 rung, which needs no such check.
+//
+// The operation set is the minimum the Gotoh anti-diagonal kernel needs:
+// load/store/broadcast, add/sub (saturating on the narrow rungs), max,
+// compares producing all-ones lane masks, mask blends, a one-lane
+// shift-in (the wavefront rotation) and a last-lane extract (the strip's
+// bottom-row output). shift_in's incoming-element pointer must have 4
+// readable bytes: the vector backends fetch the element with a single
+// 32-bit load (cheaper than a sub-32-bit broadcast or insert on the
+// shuffle port) and mask off the stray bytes.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
 #include <limits>
 
-#include "sw/simd.hpp"
+#ifndef MGPUSW_SIMD_NS
+#error "define MGPUSW_SIMD_NS to a unique namespace before including sw/simd_lp.hpp"
+#endif
+
+#if defined(__AVX2__) && !defined(MGPUSW_SIMD_FORCE_SCALAR)
+#define MGPUSW_SIMD_BACKEND_AVX2 1
+#include <immintrin.h>
+#elif defined(__SSE4_2__) && !defined(MGPUSW_SIMD_FORCE_SCALAR)
+#define MGPUSW_SIMD_BACKEND_SSE42 1
+#include <nmmintrin.h>
+#include <smmintrin.h>
+#endif
 
 namespace mgpusw::sw::MGPUSW_SIMD_NS {
 
 #if defined(MGPUSW_SIMD_BACKEND_AVX2)
 
+inline constexpr const char* kSimdBackendName = "avx2";
+
+struct LpI32 {
+  static constexpr int kLanes = 8;
+  using Elem = std::int32_t;
+  static constexpr bool kExact = true;
+  /// Column offsets fit the lane type for any block the kernel accepts.
+  static constexpr int kSegSteps = 1 << 30;
+
+  struct Vec {
+    __m256i v;
+  };
+
+  static Vec load(const Elem* p) {
+    return {_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p))};
+  }
+  static void store(Elem* p, Vec a) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), a.v);
+  }
+  static Vec broadcast(Elem x) { return {_mm256_set1_epi32(x)}; }
+  static Vec adds(Vec a, Vec b) { return {_mm256_add_epi32(a.v, b.v)}; }
+  static Vec subs(Vec a, Vec b) { return {_mm256_sub_epi32(a.v, b.v)}; }
+  static Vec max(Vec a, Vec b) { return {_mm256_max_epi32(a.v, b.v)}; }
+  static Vec cmpgt(Vec a, Vec b) { return {_mm256_cmpgt_epi32(a.v, b.v)}; }
+  static Vec cmpeq(Vec a, Vec b) { return {_mm256_cmpeq_epi32(a.v, b.v)}; }
+  /// Per lane: mask ? b : a (mask lanes are all-ones or all-zero).
+  static Vec blend(Vec a, Vec b, Vec mask) {
+    return {_mm256_blendv_epi8(a.v, b.v, mask.v)};
+  }
+  /// Lane 0 <- *p, lane r <- a[r-1]. The same zeroed-lane-0 OR merge as
+  /// LpI16::shift_in; the 32-bit load is exactly one element, so it
+  /// needs no mask and reads nothing past *p.
+  static Vec shift_in(Vec a, const Elem* p) {
+    const __m256i low_to_high = _mm256_permute2x128_si256(a.v, a.v, 0x08);
+    const __m256i shifted = _mm256_alignr_epi8(a.v, low_to_high, 12);
+    return {_mm256_or_si256(shifted,
+                            _mm256_zextsi128_si256(_mm_loadu_si32(p)))};
+  }
+  static Elem extract_last(Vec a) { return _mm256_extract_epi32(a.v, 7); }
+};
+
 struct LpI16 {
   static constexpr int kLanes = 16;
   using Elem = std::int16_t;
+  static constexpr bool kExact = false;
   static constexpr Elem kMax = 32767;
   static constexpr Elem kMin = -32768;
   /// Narrow neg-inf sentinel; one gap subtraction cannot cross zero.
@@ -100,6 +172,7 @@ struct LpI16 {
 struct LpI8 {
   static constexpr int kLanes = 32;
   using Elem = std::int8_t;
+  static constexpr bool kExact = false;
   static constexpr Elem kMax = 127;
   static constexpr Elem kMin = -128;
   static constexpr Elem kNegInf = kMin / 2;
@@ -143,17 +216,52 @@ struct LpI8 {
 
 #elif defined(MGPUSW_SIMD_BACKEND_SSE42)
 
-// The SSE4.2 backends use the ISA's native 128-bit width — 8×int16 and
-// 16×int8 lanes — rather than double-pumping two registers to match
-// AVX2's lane count. The narrow kernels keep ~14 logical vectors live in
-// the steady loop; at two xmm each that is twice the architectural
+inline constexpr const char* kSimdBackendName = "sse4.2";
+
+// The SSE4.2 backends use the ISA's native 128-bit width — 4×int32,
+// 8×int16 and 16×int8 lanes — rather than double-pumping two registers
+// to match AVX2's lane count. The kernel keeps ~14 logical vectors live
+// in the steady loop; at two xmm each that is twice the architectural
 // register file and the compiler spills every iteration, while one xmm
 // each fits. This also keeps the per-backend benchmark comparison
 // meaningful: each ISA runs at its own register width.
 
+struct LpI32 {
+  static constexpr int kLanes = 4;
+  using Elem = std::int32_t;
+  static constexpr bool kExact = true;
+  static constexpr int kSegSteps = 1 << 30;
+
+  struct Vec {
+    __m128i v;
+  };
+
+  static Vec load(const Elem* p) {
+    return {_mm_loadu_si128(reinterpret_cast<const __m128i*>(p))};
+  }
+  static void store(Elem* p, Vec a) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(p), a.v);
+  }
+  static Vec broadcast(Elem x) { return {_mm_set1_epi32(x)}; }
+  static Vec adds(Vec a, Vec b) { return {_mm_add_epi32(a.v, b.v)}; }
+  static Vec subs(Vec a, Vec b) { return {_mm_sub_epi32(a.v, b.v)}; }
+  static Vec max(Vec a, Vec b) { return {_mm_max_epi32(a.v, b.v)}; }
+  static Vec cmpgt(Vec a, Vec b) { return {_mm_cmpgt_epi32(a.v, b.v)}; }
+  static Vec cmpeq(Vec a, Vec b) { return {_mm_cmpeq_epi32(a.v, b.v)}; }
+  static Vec blend(Vec a, Vec b, Vec mask) {
+    return {_mm_blendv_epi8(a.v, b.v, mask.v)};
+  }
+  /// Lane 0 <- *p, lane r <- a[r-1]; the 32-bit load is one element.
+  static Vec shift_in(Vec a, const Elem* p) {
+    return {_mm_or_si128(_mm_slli_si128(a.v, 4), _mm_loadu_si32(p))};
+  }
+  static Elem extract_last(Vec a) { return _mm_extract_epi32(a.v, 3); }
+};
+
 struct LpI16 {
   static constexpr int kLanes = 8;
   using Elem = std::int16_t;
+  static constexpr bool kExact = false;
   static constexpr Elem kMax = 32767;
   static constexpr Elem kMin = -32768;
   static constexpr Elem kNegInf = kMin / 2;
@@ -195,6 +303,7 @@ struct LpI16 {
 struct LpI8 {
   static constexpr int kLanes = 16;
   using Elem = std::int8_t;
+  static constexpr bool kExact = false;
   static constexpr Elem kMax = 127;
   static constexpr Elem kMin = -128;
   static constexpr Elem kNegInf = kMin / 2;
@@ -233,14 +342,18 @@ struct LpI8 {
 
 #else  // scalar fallback
 
+inline constexpr const char* kSimdBackendName = "scalar";
+
 namespace lp_detail {
 
-/// Shared scalar implementation of the saturating lane ops; the
-/// autovectorizer may still turn these loops into vector code.
+/// Shared scalar implementation of the lane ops — saturating on the
+/// narrow rungs, plain on the exact int32 rung; the autovectorizer may
+/// still turn these loops into vector code.
 template <typename E, int N, int Seg>
 struct ScalarLp {
   static constexpr int kLanes = N;
   using Elem = E;
+  static constexpr bool kExact = sizeof(E) == sizeof(int);
   static constexpr Elem kMax = std::numeric_limits<E>::max();
   static constexpr Elem kMin = std::numeric_limits<E>::min();
   static constexpr Elem kNegInf = static_cast<E>(kMin / 2);
@@ -251,8 +364,10 @@ struct ScalarLp {
   };
 
   static Elem sat(int x) {
-    if (x > kMax) return kMax;
-    if (x < kMin) return kMin;
+    if constexpr (!kExact) {
+      if (x > kMax) return kMax;
+      if (x < kMin) return kMin;
+    }
     return static_cast<Elem>(x);
   }
   static Vec load(const Elem* p) {
@@ -315,6 +430,9 @@ struct ScalarLp {
 
 }  // namespace lp_detail
 
+// Four int32 lanes, like SSE4.2: the compiler keeps the baseline TU's
+// lane arrays in one SSE2 register each, where eight spill every step.
+using LpI32 = lp_detail::ScalarLp<std::int32_t, 4, 1 << 30>;
 using LpI16 = lp_detail::ScalarLp<std::int16_t, 16, 16384>;
 using LpI8 = lp_detail::ScalarLp<std::int8_t, 32, 96>;
 

@@ -1,6 +1,6 @@
 // Batch scheduler tests: the central property is that running a batch
 // concurrently (any devices_per_item / max_in_flight split) produces
-// bit-identical per-item results to the sequential legacy path — the
+// bit-identical per-item results to the sequential whole-fleet path — the
 // engine's reduction is a total order, so per-item scores cannot depend
 // on how the fleet was shared.
 #include <gtest/gtest.h>
@@ -119,7 +119,15 @@ TEST(BatchTest, LegacyOverloadMatchesFleetPath) {
         std::make_unique<vgpu::Device>(vgpu::toy_device(10.0)));
     pointers.push_back(owned.back().get());
   }
-  const BatchResult legacy = run_batch(small_config(), pointers, items);
+  // The paper's evaluation mode, which the former (EngineConfig,
+  // devices) overload wrapped: every item spans all devices, one item at
+  // a time.
+  DeviceFleet sequential_fleet(pointers);
+  BatchConfig sequential;
+  sequential.engine = small_config();
+  sequential.devices_per_item = 0;
+  sequential.max_in_flight = 1;
+  const BatchResult legacy = run_batch(sequential, sequential_fleet, items);
   EXPECT_GT(legacy.wall_seconds, 0.0);
   EXPECT_GT(legacy.total_seconds, 0.0);
   EXPECT_GT(legacy.gcups(), 0.0);

@@ -12,6 +12,7 @@
 #include "base/error.hpp"
 #include "core/batch.hpp"
 #include "core/engine.hpp"
+#include "core/fleet.hpp"
 #include "core/pipeline.hpp"
 #include "core/special_rows.hpp"
 #include "sw/linear.hpp"
@@ -92,7 +93,8 @@ TEST_P(PipelineProperty, ScoreAndOpsConsistent) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineProperty, ::testing::Range(0, 6));
 
 // ---------------------------------------------------------------------------
-// engine with the anti-diagonal kernel
+// engine with a non-default kernel: the int16 anti-diagonal SIMD ladder
+// must reach the runner and stay bit-identical to the row scan
 
 class AntidiagEngine : public ::testing::TestWithParam<int> {};
 
@@ -104,7 +106,7 @@ TEST_P(AntidiagEngine, MatchesRowScanKernel) {
   vgpu::Device d1(vgpu::toy_device(20.0));
 
   EngineConfig config = small_config();
-  config.kernel = "antidiag";
+  config.kernel = "simd16";
   core::MultiDeviceEngine engine(config, {&d0, &d1});
   EXPECT_EQ(engine.run(a, b).best,
             sw::linear_score(config.scheme, a, b));
@@ -235,6 +237,18 @@ TEST_F(DiskStoreTest, GapDetectedOnDisk) {
 // ---------------------------------------------------------------------------
 // batch runner
 
+/// The paper's evaluation mode: every item spans all `devices`, one item
+/// at a time.
+core::BatchResult run_sequential(const std::vector<vgpu::Device*>& devices,
+                                 const std::vector<core::BatchItem>& items) {
+  core::DeviceFleet fleet(devices);
+  core::BatchConfig config;
+  config.engine = small_config();
+  config.devices_per_item = 0;
+  config.max_in_flight = 1;
+  return core::run_batch(config, fleet, items);
+}
+
 TEST(BatchTest, RunsAllItemsAndAggregates) {
   vgpu::Device d0(vgpu::toy_device(10.0));
   vgpu::Device d1(vgpu::toy_device(20.0));
@@ -246,8 +260,7 @@ TEST(BatchTest, RunsAllItemsAndAggregates) {
     items.push_back(core::BatchItem{"pair" + std::to_string(seed),
                                     std::move(a), std::move(b)});
   }
-  const core::BatchResult batch =
-      core::run_batch(small_config(), {&d0, &d1}, items);
+  const core::BatchResult batch = run_sequential({&d0, &d1}, items);
 
   ASSERT_EQ(batch.items.size(), 3u);
   std::int64_t cells = 0;
@@ -264,7 +277,7 @@ TEST(BatchTest, RunsAllItemsAndAggregates) {
 
 TEST(BatchTest, EmptyBatchThrows) {
   vgpu::Device device(vgpu::toy_device(10.0));
-  EXPECT_THROW((void)core::run_batch(small_config(), {&device}, {}),
+  EXPECT_THROW((void)run_sequential({&device}, {}),
                InvalidArgument);
 }
 

@@ -58,10 +58,10 @@ TEST(PlanTest, SlicesTileTheMatrix) {
 TEST(PlanTest, KernelResolution) {
   PlanRequest request = basic_request();
   request.default_kernel = "row";
-  request.device_kernels = {"", "antidiag", ""};
+  request.device_kernels = {"", "simd16", ""};
   const AlignmentPlan plan = make_plan(request);
   EXPECT_EQ(plan.devices[0].kernel, "row");
-  EXPECT_EQ(plan.devices[1].kernel, "antidiag");
+  EXPECT_EQ(plan.devices[1].kernel, "simd16");
   EXPECT_EQ(plan.devices[2].kernel, "row");
 }
 

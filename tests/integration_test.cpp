@@ -8,6 +8,7 @@
 #include "base/error.hpp"
 #include "core/batch.hpp"
 #include "core/engine.hpp"
+#include "core/fleet.hpp"
 #include "core/pipeline.hpp"
 #include "core/special_rows.hpp"
 #include "sw/linear.hpp"
@@ -41,7 +42,7 @@ TEST(IntegrationTest, TcpAntidiagPruningCombo) {
   config.block_cols = 32;
   config.buffer_capacity = 2;
   config.transport = core::Transport::kTcp;
-  config.kernel = "antidiag";
+  config.kernel = "simd16";
   config.enable_pruning = true;
   MultiDeviceEngine engine(config, fleet.pointers);
   EXPECT_EQ(engine.run(a, b).best.score,
@@ -92,7 +93,7 @@ TEST(IntegrationTest, PipelineOverTcpWithAntidiagKernel) {
   config.block_rows = 32;
   config.block_cols = 32;
   config.transport = core::Transport::kTcp;
-  config.kernel = "antidiag";
+  config.kernel = "simd16";
   core::AlignmentPipeline pipeline(config, fleet.pointers);
   auto [a, b] = testutil::related_pair(300, 202);
   const auto result = pipeline.align(a, b);
@@ -118,7 +119,12 @@ TEST(IntegrationTest, BatchWithProgressAndDiagonalSchedule) {
         220 + k * 30, static_cast<std::uint64_t>(k) + 203);
     items.push_back(core::BatchItem{"p" + std::to_string(k), a, b});
   }
-  const auto batch = core::run_batch(config, fleet.pointers, items);
+  core::DeviceFleet devices(fleet.pointers);
+  core::BatchConfig batch_config;
+  batch_config.engine = config;
+  batch_config.devices_per_item = 0;  // every item spans all devices
+  batch_config.max_in_flight = 1;
+  const auto batch = core::run_batch(batch_config, devices, items);
   for (std::size_t k = 0; k < items.size(); ++k) {
     EXPECT_EQ(batch.items[k].result.best,
               sw::linear_score(config.scheme, items[k].query,

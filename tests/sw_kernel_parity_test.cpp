@@ -11,7 +11,6 @@
 
 #include "sw/block.hpp"
 #include "sw/block_simd.hpp"
-#include "sw/block_simd_lp.hpp"
 #include "sw/kernel.hpp"
 #include "tests/test_util.hpp"
 
@@ -63,7 +62,9 @@ struct KernelIo {
 /// Runs one kernel on `in`. Aliased runs write the outgoing borders over
 /// the incoming ones (bottom over top, right over left), as the engine
 /// does; non-aliased runs write into separate, poisoned arrays and check
-/// that the inputs stay untouched.
+/// that the inputs stay untouched. Every border array is allocated at
+/// exactly `cols` or `rows` entries, like the engine's, so ASan catches
+/// a kernel that reads or writes past a row or column.
 KernelIo run_kernel(sw::BlockKernelFn fn, const ScoreScheme& scheme,
                     const BlockInput& in, bool aliased = true) {
   KernelIo io;
@@ -120,11 +121,9 @@ void expect_same(const KernelIo& other, const KernelIo& scan,
   EXPECT_TRUE(other.inputs_intact) << label;
 }
 
-class KernelParity
-    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
-
-TEST_P(KernelParity, AllRegisteredKernelsMatchRowScan) {
-  const auto [rows, cols, seed] = GetParam();
+/// The sweep body: a random rows x cols block under scheme `seed`, every
+/// registered kernel against the row scan.
+void expect_registry_matches_row_scan(int rows, int cols, int seed) {
   const ScoreScheme scheme = testutil::test_schemes()[
       static_cast<std::size_t>(seed) % testutil::test_schemes().size()];
   std::vector<Nt> query(static_cast<std::size_t>(rows));
@@ -145,6 +144,14 @@ TEST_P(KernelParity, AllRegisteredKernelsMatchRowScan) {
   }
 }
 
+class KernelParity
+    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+
+TEST_P(KernelParity, AllRegisteredKernelsMatchRowScan) {
+  const auto [rows, cols, seed] = GetParam();
+  expect_registry_matches_row_scan(rows, cols, seed);
+}
+
 // Every strip of a SIMD kernel runs a kLanes-step fill and drain with
 // masked lanes; the lane counts in use are 8, 16 and 32. Rows hit:
 // degenerate (1, 2), below the 8-lane strip (7), one full strip (8),
@@ -162,6 +169,24 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(1, 13, 15, 16, 17, 31, 32, 33, 63, 64, 65, 128,
                           129, 200),
         ::testing::Range(0, 5)));
+
+// The same sweep on the small, odd shapes every SIMD entry — each an
+// anti-diagonal traversal — must also match the row scan on: blocks one
+// to three rows or columns wide, where the fill and drain overlap or the
+// whole block is shorter than one strip (rows 3, 5; cols 2, 3, 7), and a
+// strip plus one remainder row (17).
+class AntidiagEquivalence : public KernelParity {};
+
+TEST_P(AntidiagEquivalence, IdenticalToRowScan) {
+  const auto [rows, cols, seed] = GetParam();
+  expect_registry_matches_row_scan(rows, cols, seed);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, AntidiagEquivalence,
+    ::testing::Combine(::testing::Values(1, 2, 3, 5, 17, 64),
+                       ::testing::Values(1, 2, 3, 7, 33, 64),
+                       ::testing::Range(0, 4)));
 
 // --- fill/drain triangle peaks ----------------------------------------
 
@@ -280,6 +305,55 @@ TEST(KernelTriangleTest, BestTiesInsideTriangles) {
         }
       }
     }
+  }
+}
+
+TEST(AntidiagTest, GlobalCoordsReported) {
+  // Identical sequences under zero borders: every kernel's best cell is
+  // the block's bottom-right corner, reported in global coordinates.
+  const ScoreScheme scheme;
+  BlockInput in = quiet_input(16, 16);
+  std::fill(in.query.begin(), in.query.end(), Nt::G);
+  std::fill(in.subject.begin(), in.subject.end(), Nt::G);
+  for (const sw::KernelInfo& info : sw::kernel_registry()) {
+    const KernelIo io = run_kernel(info.fn, scheme, in);
+    EXPECT_EQ(io.result.best.score, 16 * scheme.match) << info.name;
+    EXPECT_EQ(io.result.best.end, (sw::CellPos{1015, 2015})) << info.name;
+  }
+}
+
+TEST(AntidiagTest, TieBreakMatchesRowScanOrder) {
+  // ACAC against ACGGAC has two equal optima, (1, 1) and (3, 5): every
+  // kernel must report the row-major first one, on a block shorter than
+  // any strip and on the same pair tiled into a block that fills whole
+  // strips of every lane count.
+  const ScoreScheme scheme;
+  const std::vector<Nt> query = {Nt::A, Nt::C, Nt::A, Nt::C};
+  const std::vector<Nt> subject = {Nt::A, Nt::C, Nt::G, Nt::G, Nt::A, Nt::C};
+  BlockInput in = quiet_input(4, 6);
+  in.query = query;
+  in.subject = subject;
+  EXPECT_EQ(check_parity(scheme, in), std::make_pair(0, 0));
+  for (const sw::KernelInfo& info : sw::kernel_registry()) {
+    EXPECT_EQ(run_kernel(info.fn, scheme, in).result.best.end,
+              (sw::CellPos{1001, 2001}))
+        << info.name;
+  }
+  // 64 x 66: the pair at rows 0-3 / cols 0-5 and again far below and to
+  // the right, on a background (query T, subject G) that matches neither
+  // copy, so all eight optima tie.
+  BlockInput tiled = quiet_input(64, 66);
+  std::fill(tiled.query.begin(), tiled.query.end(), Nt::T);
+  std::fill(tiled.subject.begin(), tiled.subject.end(), Nt::G);
+  std::copy(query.begin(), query.end(), tiled.query.begin());
+  std::copy(query.begin(), query.end(), tiled.query.begin() + 50);
+  std::copy(subject.begin(), subject.end(), tiled.subject.begin());
+  std::copy(subject.begin(), subject.end(), tiled.subject.begin() + 60);
+  EXPECT_EQ(check_parity(scheme, tiled), std::make_pair(0, 0));
+  for (const sw::KernelInfo& info : sw::kernel_registry()) {
+    EXPECT_EQ(run_kernel(info.fn, scheme, tiled).result.best.end,
+              (sw::CellPos{1001, 2001}))
+        << info.name;
   }
 }
 
@@ -413,16 +487,42 @@ TEST(KernelRegistryTest, SimdScalarBackendAlwaysRegistered) {
   // The pinned scalar backend is the guaranteed-runnable fallback; it must
   // be present so the fallback path is parity-tested on every host.
   EXPECT_NO_THROW((void)sw::find_kernel("simd-scalar"));
-  EXPECT_TRUE(sw::simd_backend_runnable(sw::SimdIsa::kScalar));
+  ASSERT_FALSE(sw::runnable_simd_backends().empty());
+  EXPECT_EQ(sw::runnable_simd_backends().back(), &sw::simd_scalar::kBackend);
+}
+
+TEST(KernelRegistryTest, EveryRunnableBackendRegistersAllThreeWidths) {
+  // The pinned entries come from one loop over (backend x width): each
+  // runnable backend registers its int32, int16 and int8 ladders, in
+  // that order, and a name resolves to that backend's own ladder.
+  const auto& registry = sw::kernel_registry();
+  for (const sw::SimdBackend* backend : sw::runnable_simd_backends()) {
+    const std::string tag = backend->tag;
+    const std::string names[sw::kSimdWidths] = {
+        "simd-" + tag, "simd16-" + tag, "simd8-" + tag};
+    for (int w = 0; w < sw::kSimdWidths; ++w) {
+      EXPECT_EQ(sw::find_kernel(names[w]), backend->ladder[w]) << names[w];
+    }
+    const auto at = std::find_if(
+        registry.begin(), registry.end(),
+        [&](const sw::KernelInfo& info) { return info.name == names[0]; });
+    ASSERT_LE(at + sw::kSimdWidths, registry.end()) << tag;
+    EXPECT_EQ(at[1].name, names[1]);
+    EXPECT_EQ(at[2].name, names[2]);
+  }
 }
 
 TEST(KernelRegistryTest, AutoSelectsNarrowestSafePrecision) {
   // "auto" is how DeviceSpec::kernel / calibration name the full ladder
-  // without committing to a width; it must resolve and be the same
-  // function as the int8 ladder.
+  // without committing to a width; it must resolve, and the width
+  // entries must be the dispatched ladders.
   EXPECT_EQ(sw::find_kernel("auto"), &sw::compute_block_auto);
-  EXPECT_EQ(sw::find_kernel("simd8"), &sw::compute_block_i8);
-  EXPECT_EQ(sw::find_kernel("simd16"), &sw::compute_block_i16);
+  EXPECT_EQ(sw::find_kernel("simd"),
+            &sw::compute_block_simd<sw::SimdWidth::kI32>);
+  EXPECT_EQ(sw::find_kernel("simd16"),
+            &sw::compute_block_simd<sw::SimdWidth::kI16>);
+  EXPECT_EQ(sw::find_kernel("simd8"),
+            &sw::compute_block_simd<sw::SimdWidth::kI8>);
 }
 
 TEST(KernelRegistryTest, EveryRegisteredKernelHasParityCoverage) {
@@ -432,12 +532,11 @@ TEST(KernelRegistryTest, EveryRegisteredKernelHasParityCoverage) {
   // registering a kernel without adding it here (and thus without
   // thinking about its parity/overflow coverage) fails the build.
   const std::vector<std::string> covered = {
-      "row",          "antidiag",      "strip4",
-      "simd",         "simd16",        "simd8",
-      "auto",         "simd-avx2",     "simd-sse42",
-      "simd-scalar",  "simd16-avx2",   "simd16-sse42",
-      "simd16-scalar", "simd8-avx2",   "simd8-sse42",
-      "simd8-scalar"};
+      "row",          "simd",          "simd16",
+      "simd8",        "auto",          "simd-avx2",
+      "simd-sse42",   "simd-scalar",   "simd16-avx2",
+      "simd16-sse42", "simd16-scalar", "simd8-avx2",
+      "simd8-sse42",  "simd8-scalar"};
   for (const sw::KernelInfo& info : sw::kernel_registry()) {
     EXPECT_NE(std::find(covered.begin(), covered.end(), info.name),
               covered.end())
