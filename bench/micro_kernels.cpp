@@ -17,8 +17,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "base/format.hpp"
@@ -189,47 +191,68 @@ struct KernelRate {
   double gcups = 0.0;
 };
 
-/// Min-of-N seconds per run with warmup and inner batching.
+using NamedRun = std::pair<std::string, std::function<void()>>;
+
+/// GCUPS of each named run (each computes `cells` cells): the min-of-N
+/// seconds per run, with warmup and inner batching, timed round-robin.
 ///
 /// `warmup` untimed runs heat caches, fault in pages and settle the CPU
 /// frequency — without them the kernels measured first paid the whole
 /// cold-start bill, which is how sse42 used to "beat" avx2 in this
-/// table (the avx2 backends simply ran first). Each timed repetition
-/// then batches enough runs to cover `min_rep_seconds`, so clock
-/// granularity cannot dominate short kernels, and the minimum over
-/// `reps` repetitions is reported (noise only ever slows a run down).
-template <class Fn>
-double min_seconds_per_run(Fn&& run, int warmup, int reps,
-                           double min_rep_seconds) {
-  for (int i = 0; i < warmup; ++i) run();
-  std::int64_t batch = 1;
-  for (;;) {  // calibrate the batch size once
-    base::WallTimer timer;
-    for (std::int64_t k = 0; k < batch; ++k) run();
-    if (timer.elapsed_seconds() >= min_rep_seconds ||
-        batch >= (std::int64_t{1} << 24)) {
-      break;
+/// table (the avx2 backends simply ran first). Each run's batch is
+/// calibrated once to cover `min_rep_seconds`, so clock granularity
+/// cannot dominate short kernels. Repetition r times every run once
+/// before repetition r+1 starts, so a slow spell on a shared host spreads
+/// over the runs of a repetition instead of landing on whichever kernel
+/// was being timed; the minimum over `reps` repetitions is reported
+/// (noise only ever slows a run down).
+std::vector<KernelRate> round_robin_rates(const std::vector<NamedRun>& runs,
+                                          std::int64_t cells, int warmup,
+                                          int reps, double min_rep_seconds) {
+  std::vector<std::int64_t> batches;
+  for (const auto& [name, run] : runs) {
+    for (int i = 0; i < warmup; ++i) run();
+    std::int64_t batch = 1;
+    for (;;) {  // calibrate the batch size once
+      base::WallTimer timer;
+      for (std::int64_t k = 0; k < batch; ++k) run();
+      if (timer.elapsed_seconds() >= min_rep_seconds ||
+          batch >= (std::int64_t{1} << 24)) {
+        break;
+      }
+      batch *= 4;
     }
-    batch *= 4;
+    batches.push_back(batch);
   }
-  double best = 1e300;
+  std::vector<double> best(runs.size(), 1e300);
   for (int rep = 0; rep < reps; ++rep) {
-    base::WallTimer timer;
-    for (std::int64_t k = 0; k < batch; ++k) run();
-    best = std::min(best,
-                    timer.elapsed_seconds() / static_cast<double>(batch));
+    for (std::size_t r = 0; r < runs.size(); ++r) {
+      base::WallTimer timer;
+      for (std::int64_t k = 0; k < batches[r]; ++k) runs[r].second();
+      best[r] = std::min(best[r], timer.elapsed_seconds() /
+                                      static_cast<double>(batches[r]));
+    }
   }
-  return best;
+  std::vector<KernelRate> rates;
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    rates.push_back({runs[r].first, base::gcups(cells, best[r])});
+  }
+  return rates;
 }
 
-double measure_gcups(sw::BlockKernelFn fn, std::int64_t rows,
-                     std::int64_t cols, int reps) {
+/// Every registered kernel on one rows x cols block.
+std::vector<KernelRate> measure_block_rates(std::int64_t rows,
+                                            std::int64_t cols, int reps) {
   BlockHarness harness(rows, cols);
   const sw::ScoreScheme scheme;
-  const double seconds = min_seconds_per_run(
-      [&] { benchmark::DoNotOptimize(harness.run(fn, scheme)); },
-      /*warmup=*/2, reps, /*min_rep_seconds=*/0.02);
-  return base::gcups(rows * cols, seconds);
+  std::vector<NamedRun> runs;
+  for (const sw::KernelInfo& info : sw::kernel_registry()) {
+    runs.emplace_back(info.name, [&harness, &scheme, fn = info.fn] {
+      benchmark::DoNotOptimize(harness.run(fn, scheme));
+    });
+  }
+  return round_robin_rates(runs, rows * cols, /*warmup=*/2, reps,
+                           /*min_rep_seconds=*/0.02);
 }
 
 /// Megabase-shaped workload: one block-row strip swept left to right in
@@ -294,13 +317,18 @@ class StripHarness {
   std::vector<sw::Score> row_h_, row_f_, col_h_, col_e_;
 };
 
-double measure_strip_gcups(sw::BlockKernelFn fn, StripHarness& harness,
-                           int reps) {
+std::vector<KernelRate> measure_strip_rates(
+    const std::vector<std::string>& kernels, StripHarness& harness,
+    int reps) {
   const sw::ScoreScheme scheme;
-  const double seconds = min_seconds_per_run(
-      [&] { benchmark::DoNotOptimize(harness.run(fn, scheme)); },
-      /*warmup=*/1, reps, /*min_rep_seconds=*/0.0);
-  return base::gcups(harness.cells(), seconds);
+  std::vector<NamedRun> runs;
+  for (const std::string& name : kernels) {
+    runs.emplace_back(name, [&harness, &scheme, fn = sw::find_kernel(name)] {
+      benchmark::DoNotOptimize(harness.run(fn, scheme));
+    });
+  }
+  return round_robin_rates(runs, harness.cells(), /*warmup=*/1, reps,
+                           /*min_rep_seconds=*/0.0);
 }
 
 /// Short-pair batch workload for the inter-sequence kernels.
@@ -327,16 +355,18 @@ struct BatchHarness {
   }
 };
 
-double measure_batch_gcups(const std::string& kernel,
-                           const BatchHarness& harness, int reps) {
+std::vector<KernelRate> measure_batch_rates(const BatchHarness& harness,
+                                            int reps) {
   const sw::ScoreScheme scheme;
-  const double seconds = min_seconds_per_run(
-      [&] {
-        benchmark::DoNotOptimize(
-            sw::batch_align_scores(scheme, harness.views, kernel));
-      },
-      /*warmup=*/1, reps, /*min_rep_seconds=*/0.0);
-  return base::gcups(harness.total_cells, seconds);
+  std::vector<NamedRun> runs;
+  for (const std::string& name : sw::batch_kernel_names()) {
+    runs.emplace_back(name, [&harness, &scheme, name] {
+      benchmark::DoNotOptimize(
+          sw::batch_align_scores(scheme, harness.views, name));
+    });
+  }
+  return round_robin_rates(runs, harness.total_cells, /*warmup=*/1, reps,
+                           /*min_rep_seconds=*/0.0);
 }
 
 double rate_of(const std::vector<KernelRate>& rates,
@@ -406,12 +436,8 @@ struct SummaryShape {
 void run_kernel_summary(const std::string& json_path,
                         const SummaryShape& shape) {
   // Section 1: every registered kernel on one square block.
-  std::vector<KernelRate> block_rates;
-  for (const sw::KernelInfo& info : sw::kernel_registry()) {
-    block_rates.push_back(
-        {info.name, measure_gcups(info.fn, shape.block_tile,
-                                  shape.block_tile, shape.reps)});
-  }
+  const std::vector<KernelRate> block_rates =
+      measure_block_rates(shape.block_tile, shape.block_tile, shape.reps);
   print_rate_table(
       "Per-kernel GCUPS, " + std::to_string(shape.block_tile) + "x" +
           std::to_string(shape.block_tile) + " block (simd dispatches to " +
@@ -421,12 +447,8 @@ void run_kernel_summary(const std::string& json_path,
 
   // Section 2: every registered kernel on the engine's default block,
   // where per-strip fill/drain and per-block set-up weigh most.
-  std::vector<KernelRate> engine_rates;
-  for (const sw::KernelInfo& info : sw::kernel_registry()) {
-    engine_rates.push_back(
-        {info.name, measure_gcups(info.fn, shape.engine_tile,
-                                  shape.engine_tile, shape.reps)});
-  }
+  const std::vector<KernelRate> engine_rates =
+      measure_block_rates(shape.engine_tile, shape.engine_tile, shape.reps);
   print_rate_table("Per-kernel GCUPS, " + std::to_string(shape.engine_tile) +
                        "x" + std::to_string(shape.engine_tile) +
                        " block (engine default; default kernel " +
@@ -437,11 +459,8 @@ void run_kernel_summary(const std::string& json_path,
   // slice — the engine_tile rows fused across the slice's width.
   std::vector<std::vector<KernelRate>> row_rates;
   for (const std::int64_t cols : shape.engine_row_cols) {
-    std::vector<KernelRate>& rates = row_rates.emplace_back();
-    for (const sw::KernelInfo& info : sw::kernel_registry()) {
-      rates.push_back({info.name, measure_gcups(info.fn, shape.engine_tile,
-                                                cols, shape.reps)});
-    }
+    const std::vector<KernelRate>& rates = row_rates.emplace_back(
+        measure_block_rates(shape.engine_tile, cols, shape.reps));
     print_rate_table("Per-kernel GCUPS, " +
                          std::to_string(shape.engine_tile) + "x" +
                          base::with_thousands(cols) +
@@ -454,13 +473,9 @@ void run_kernel_summary(const std::string& json_path,
   // covers half a gigacell).
   StripHarness strip(shape.mega_rows, shape.mega_cols,
                      shape.mega_tile_cols);
-  std::vector<KernelRate> mega_rates;
-  for (const std::string name :
-       {"row", "simd", "simd16", "simd8", "auto"}) {
-    mega_rates.push_back(
-        {name, measure_strip_gcups(sw::find_kernel(name), strip,
-                                   std::min(shape.reps, 3))});
-  }
+  const std::vector<KernelRate> mega_rates = measure_strip_rates(
+      {"row", "simd", "simd16", "simd8", "auto"}, strip,
+      std::min(shape.reps, 3));
   print_rate_table("Megabase strip GCUPS, " +
                        std::to_string(shape.mega_rows) + " rows x " +
                        base::with_thousands(shape.mega_cols) +
@@ -472,11 +487,8 @@ void run_kernel_summary(const std::string& json_path,
   // "scalar" entry is the per-pair intra-block SIMD kernel, i.e. what
   // the same batch costs without inter-sequence packing.
   BatchHarness batch(shape.batch_pairs, shape.batch_pair_len);
-  std::vector<KernelRate> batch_rates;
-  for (const std::string& name : sw::batch_kernel_names()) {
-    batch_rates.push_back(
-        {name, measure_batch_gcups(name, batch, std::min(shape.reps, 3))});
-  }
+  const std::vector<KernelRate> batch_rates =
+      measure_batch_rates(batch, std::min(shape.reps, 3));
   print_rate_table("Short-pair batch GCUPS, " +
                        std::to_string(shape.batch_pairs) + " pairs of " +
                        std::to_string(shape.batch_pair_len) + " bases",

@@ -10,7 +10,14 @@
 //   $ ./alignment_report --length=2000 --divergence=0.10
 #include <cstdio>
 
-#include "mgpusw.hpp"
+#include "base/flags.hpp"
+#include "base/format.hpp"
+#include "core/engine.hpp"
+#include "core/pipeline.hpp"
+#include "seq/synth.hpp"
+#include "sw/alignment.hpp"
+#include "vgpu/device.hpp"
+#include "vgpu/spec.hpp"
 
 int main(int argc, char** argv) {
   using namespace mgpusw;

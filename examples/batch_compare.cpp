@@ -15,7 +15,18 @@
 #include <cstdio>
 #include <memory>
 
-#include "mgpusw.hpp"
+#include "base/error.hpp"
+#include "base/flags.hpp"
+#include "base/format.hpp"
+#include "core/batch.hpp"
+#include "core/engine.hpp"
+#include "core/fleet.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "obs/trace_export.hpp"
+#include "seq/synth.hpp"
+#include "vgpu/device.hpp"
+#include "vgpu/spec.hpp"
 
 int main(int argc, char** argv) {
   using namespace mgpusw;

@@ -11,7 +11,21 @@
 #include <cstdio>
 #include <memory>
 
-#include "mgpusw.hpp"
+#include "base/error.hpp"
+#include "base/flags.hpp"
+#include "base/format.hpp"
+#include "base/log.hpp"
+#include "core/engine.hpp"
+#include "core/report.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "obs/trace_export.hpp"
+#include "seq/fasta.hpp"
+#include "seq/synth.hpp"
+#include "sw/kernel.hpp"
+#include "sw/linear.hpp"
+#include "vgpu/device.hpp"
+#include "vgpu/spec.hpp"
 
 int main(int argc, char** argv) {
   using namespace mgpusw;
@@ -51,8 +65,6 @@ int main(int argc, char** argv) {
                  "info-level logs (kernel dispatch, engine startup)");
   flags.add_bool("verify", true, "cross-check against the serial scan");
   flags.add_int("seed", 42, "synthetic genome seed");
-  flags.add_string("dotplot", "",
-                   "write a PGM dotplot of the two sequences here");
   flags.add_string("json", "", "write the run report as JSON here");
   flags.add_string("trace-out", "",
                    "write a Chrome/Perfetto trace of the run here "
@@ -62,8 +74,6 @@ int main(int argc, char** argv) {
   flags.add_bool("phases", false,
                  "profile per-device phase times (implied by --trace-out "
                  "and --metrics-json)");
-  flags.add_bool("modes", false,
-                 "also report global/semi-global/overlap scores (serial)");
   if (!flags.parse(argc, argv)) return 0;
   if (flags.get_bool("verbose")) base::set_log_level(base::LogLevel::kInfo);
 
@@ -96,15 +106,6 @@ int main(int argc, char** argv) {
               base::human_bp(subject.size()).c_str());
   std::printf("matrix : %s cells\n\n",
               base::with_thousands(query.size() * subject.size()).c_str());
-
-  if (!flags.get_string("dotplot").empty()) {
-    const seq::Dotplot plot = seq::make_dotplot(query, subject);
-    seq::write_pgm(plot, flags.get_string("dotplot"));
-    std::printf("dotplot: %s (%.0f%% of word hits on the identity "
-                "diagonal)\n\n",
-                flags.get_string("dotplot").c_str(),
-                plot.diagonal_fraction() * 100.0);
-  }
 
   // --- devices ---------------------------------------------------------
   const auto env = vgpu::environment1();
@@ -212,14 +213,6 @@ int main(int argc, char** argv) {
     std::fputs((metrics.to_json() + "\n").c_str(), file);
     std::fclose(file);
     std::printf("metrics: %s\n", flags.get_string("metrics-json").c_str());
-  }
-
-  if (flags.get_bool("modes")) {
-    const auto semi = sw::semi_global_score(config.scheme, query, subject);
-    const auto overlap = sw::overlap_score(config.scheme, query, subject);
-    std::printf("other modes   : global %d, semi-global %d, overlap %d\n",
-                sw::global_score(config.scheme, query, subject), semi.score,
-                overlap.score);
   }
 
   if (flags.get_bool("verify")) {

@@ -10,7 +10,15 @@
 #include <cstdio>
 #include <sstream>
 
-#include "mgpusw.hpp"
+#include "base/error.hpp"
+#include "base/flags.hpp"
+#include "base/format.hpp"
+#include "comm/border.hpp"
+#include "core/partition.hpp"
+#include "seq/synth.hpp"
+#include "sim/pipeline_sim.hpp"
+#include "sw/scoring.hpp"
+#include "vgpu/spec.hpp"
 
 namespace {
 

@@ -19,7 +19,20 @@
 #include <filesystem>
 #include <unistd.h>
 
-#include "mgpusw.hpp"
+#include "base/error.hpp"
+#include "base/flags.hpp"
+#include "base/format.hpp"
+#include "core/engine.hpp"
+#include "core/recovery.hpp"
+#include "core/report.hpp"
+#include "core/special_rows.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "obs/trace_export.hpp"
+#include "seq/synth.hpp"
+#include "vgpu/device.hpp"
+#include "vgpu/fault.hpp"
+#include "vgpu/spec.hpp"
 
 int main(int argc, char** argv) {
   using namespace mgpusw;

@@ -7,7 +7,12 @@
 // make devices, configure the engine, run, read the result.
 #include <cstdio>
 
-#include "mgpusw.hpp"
+#include "base/format.hpp"
+#include "core/engine.hpp"
+#include "seq/synth.hpp"
+#include "sw/linear.hpp"
+#include "vgpu/device.hpp"
+#include "vgpu/spec.hpp"
 
 int main() {
   using namespace mgpusw;

@@ -16,7 +16,9 @@
 #include <map>
 #include <sstream>
 
-#include "mgpusw.hpp"
+#include "base/flags.hpp"
+#include "base/format.hpp"
+#include "base/json.hpp"
 
 namespace {
 

@@ -53,18 +53,6 @@ class BoundedQueue {
     not_empty_.notify_one();
   }
 
-  /// Non-blocking push; returns false when full or closed.
-  [[nodiscard]] bool try_push(T value) {
-    {
-      std::lock_guard lock(mu_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(value));
-      total_pushed_.fetch_add(1, std::memory_order_relaxed);
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
   /// Blocks while the queue is empty. Returns nullopt once the queue is
   /// closed and fully drained.
   [[nodiscard]] std::optional<T> pop() {
@@ -77,19 +65,6 @@ class BoundedQueue {
     T value = std::move(items_.front());
     items_.pop_front();
     lock.unlock();
-    not_full_.notify_one();
-    return value;
-  }
-
-  /// Non-blocking pop; returns nullopt when empty (even if open).
-  [[nodiscard]] std::optional<T> try_pop() {
-    std::optional<T> value;
-    {
-      std::lock_guard lock(mu_);
-      if (items_.empty()) return std::nullopt;
-      value = std::move(items_.front());
-      items_.pop_front();
-    }
     not_full_.notify_one();
     return value;
   }

@@ -1,19 +1,17 @@
 // Fixed-size worker pool.
 //
 // Used by vgpu::Device to emulate a GPU's streaming multiprocessors: the
-// device submits block-kernel tasks and the pool executes them on a fixed
-// set of threads. The pool is deliberately simple (single shared queue,
-// condition-variable wakeups) — block kernels are large enough (>=64k
-// cells) that queue contention is negligible.
+// diagonal schedule submits the blocks of one anti-diagonal through
+// Device::execute and waits for them with Device::synchronize
+// (wait_idle). The pool is deliberately simple (single shared queue,
+// condition-variable wakeups): each task is a whole block kernel, so
+// queue contention is negligible.
 #pragma once
 
-#include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -66,34 +64,6 @@ class ThreadPool {
     for (auto& worker : workers_) {
       if (worker.joinable()) worker.join();
     }
-  }
-
-  /// Runs fn(i) for i in [0, count) across the pool and waits for
-  /// completion. fn must be safe to call concurrently.
-  template <typename Fn>
-  void parallel_for(std::size_t count, Fn&& fn) {
-    if (count == 0) return;
-    std::atomic<std::size_t> next{0};
-    std::mutex done_mu;
-    std::condition_variable done_cv;
-    std::size_t shards_done = 0;  // guarded by done_mu
-    const std::size_t shards = std::min(count, size());
-    for (std::size_t s = 0; s < shards; ++s) {
-      submit([&, count] {
-        for (std::size_t i = next.fetch_add(1); i < count;
-             i = next.fetch_add(1)) {
-          fn(i);
-        }
-        // The shards share this frame's locals, so the call may return
-        // only once every shard is past its last use of them: wait for
-        // shards, not items, and signal under the lock.
-        std::lock_guard lock(done_mu);
-        ++shards_done;
-        done_cv.notify_one();
-      });
-    }
-    std::unique_lock lock(done_mu);
-    done_cv.wait(lock, [&] { return shards_done == shards; });
   }
 
  private:

@@ -76,14 +76,4 @@ std::vector<ColumnRange> partition_columns(std::int64_t total_cols,
   return ranges;
 }
 
-std::vector<ColumnRange> partition_columns_equal(std::int64_t total_cols,
-                                                 int parts,
-                                                 std::int64_t granularity) {
-  MGPUSW_REQUIRE(parts > 0, "parts must be positive");
-  return partition_columns(total_cols,
-                           std::vector<double>(static_cast<std::size_t>(parts),
-                                               1.0),
-                           granularity);
-}
-
 }  // namespace mgpusw::core

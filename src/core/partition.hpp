@@ -33,8 +33,4 @@ struct ColumnRange {
     std::int64_t total_cols, const std::vector<double>& weights,
     std::int64_t granularity);
 
-/// Convenience: equal weights.
-[[nodiscard]] std::vector<ColumnRange> partition_columns_equal(
-    std::int64_t total_cols, int parts, std::int64_t granularity);
-
 }  // namespace mgpusw::core

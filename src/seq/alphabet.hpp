@@ -43,11 +43,6 @@ constexpr int kAlphabetSize = 4;
   }
 }
 
-/// Watson–Crick complement.
-[[nodiscard]] constexpr Nt complement(Nt base) {
-  return static_cast<Nt>(3 - static_cast<std::uint8_t>(base));
-}
-
 /// Deterministic stand-in base for an ambiguity code at a given sequence
 /// position. Mixing the position through a 64-bit finalizer keeps long 'N'
 /// runs from collapsing to a single letter (which would create artificial

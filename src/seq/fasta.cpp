@@ -103,12 +103,4 @@ void write_fasta(std::ostream& out, const std::vector<Sequence>& records,
   }
 }
 
-void write_fasta_file(const std::string& path,
-                      const std::vector<Sequence>& records, int line_width) {
-  std::ofstream out(path);
-  if (!out) throw IoError("cannot open file for writing: " + path);
-  write_fasta(out, records, line_width);
-  if (!out) throw IoError("error while writing FASTA file: " + path);
-}
-
 }  // namespace mgpusw::seq

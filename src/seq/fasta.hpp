@@ -25,9 +25,4 @@ namespace mgpusw::seq {
 void write_fasta(std::ostream& out, const std::vector<Sequence>& records,
                  int line_width = 70);
 
-/// Writes records to a file on disk.
-void write_fasta_file(const std::string& path,
-                      const std::vector<Sequence>& records,
-                      int line_width = 70);
-
 }  // namespace mgpusw::seq

@@ -65,14 +65,6 @@ Sequence Sequence::subsequence(std::int64_t first, std::int64_t count) const {
                   bases);
 }
 
-Sequence Sequence::reverse_complement() const {
-  std::vector<Nt> bases(static_cast<std::size_t>(size_));
-  for (std::int64_t i = 0; i < size_; ++i) {
-    bases[static_cast<std::size_t>(size_ - 1 - i)] = complement(at(i));
-  }
-  return Sequence(name_ + "(revcomp)", bases);
-}
-
 std::array<std::int64_t, 4> Sequence::composition() const {
   std::array<std::int64_t, 4> counts{};
   for (std::int64_t i = 0; i < size_; ++i) {

@@ -54,9 +54,6 @@ class Sequence {
   [[nodiscard]] Sequence subsequence(std::int64_t first,
                                      std::int64_t count) const;
 
-  /// Reverse complement (used by reverse-scan stages).
-  [[nodiscard]] Sequence reverse_complement() const;
-
   /// Count of each base, indexed by Nt code.
   [[nodiscard]] std::array<std::int64_t, 4> composition() const;
 

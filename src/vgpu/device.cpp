@@ -1,8 +1,6 @@
 #include "vgpu/device.hpp"
 
 #include <algorithm>
-#include <condition_variable>
-#include <deque>
 #include <mutex>
 #include <thread>
 
@@ -128,108 +126,6 @@ void Device::fault_point(std::int64_t block_i, std::int64_t block_j) {
 
 void Device::release(std::int64_t bytes) {
   memory_used_.fetch_sub(bytes, std::memory_order_relaxed);
-}
-
-// ---------------------------------------------------------------------------
-// Event
-
-struct Event::State {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool recorded = false;
-  bool done = false;
-};
-
-Event::Event() : state_(std::make_shared<State>()) {}
-
-void Event::wait() {
-  std::unique_lock lock(state_->mu);
-  state_->cv.wait(lock,
-                  [this] { return !state_->recorded || state_->done; });
-}
-
-bool Event::ready() const {
-  std::lock_guard lock(state_->mu);
-  return !state_->recorded || state_->done;
-}
-
-// ---------------------------------------------------------------------------
-// Stream
-
-struct Stream::Impl {
-  explicit Impl(Device& device) : device(device) {}
-
-  Device& device;
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<std::function<void()>> pending;
-  bool running = false;   // a task from this stream is on the device
-  std::int64_t completed = 0;
-  std::int64_t enqueued = 0;
-
-  /// Launches the next pending task if none is in flight (FIFO order).
-  /// The worker lambda holds a shared_ptr to the Impl so a Stream may be
-  /// destroyed while its final completion bookkeeping is still running
-  /// on a device thread.
-  static void pump(const std::shared_ptr<Impl>& self) {
-    std::function<void()> task;
-    {
-      std::lock_guard lock(self->mu);
-      if (self->running || self->pending.empty()) return;
-      task = std::move(self->pending.front());
-      self->pending.pop_front();
-      self->running = true;
-    }
-    self->device.execute([self, task = std::move(task)] {
-      task();
-      {
-        std::lock_guard lock(self->mu);
-        self->running = false;
-        ++self->completed;
-        self->cv.notify_all();
-      }
-      pump(self);
-    });
-  }
-};
-
-Stream::Stream(Device& device) : impl_(std::make_shared<Impl>(device)) {}
-
-Stream::~Stream() {
-  if (impl_ != nullptr) synchronize();
-}
-
-void Stream::record(Event& event) {
-  auto state = event.state_;
-  {
-    std::lock_guard lock(state->mu);
-    state->recorded = true;
-    state->done = false;
-  }
-  enqueue([state] {
-    {
-      std::lock_guard lock(state->mu);
-      state->done = true;
-    }
-    state->cv.notify_all();
-  });
-}
-
-void Stream::enqueue(std::function<void()> task) {
-  {
-    std::lock_guard lock(impl_->mu);
-    impl_->pending.push_back(std::move(task));
-    ++impl_->enqueued;
-  }
-  Impl::pump(impl_);
-}
-
-void Stream::synchronize() {
-  std::unique_lock lock(impl_->mu);
-  impl_->cv.wait(lock, [this] {
-    return impl_->completed == impl_->enqueued && !impl_->running &&
-           impl_->pending.empty();
-  });
 }
 
 }  // namespace mgpusw::vgpu

@@ -1,11 +1,13 @@
 // Virtual GPU runtime.
 //
 // A Device stands in for one CUDA device: it owns a worker pool (its
-// "SMs"), a tracked memory arena (cudaMalloc stand-in), FIFO streams and
-// events, and an optional speed throttle. The multi-device engine treats
-// a Device exactly as CUDAlign's host code treats a GPU — it launches
-// block kernels and synchronizes — so every scheduling and communication
-// concern of the paper's design is exercised for real.
+// "SMs"), a tracked memory arena (cudaMalloc stand-in) and an optional
+// speed throttle. The multi-device engine treats a Device as CUDAlign's
+// host code treats a GPU: the diagonal schedule launches the blocks of
+// an anti-diagonal with execute() and waits with synchronize(), and each
+// slice's border buffers are allocate()d against the device's memory, so
+// every scheduling and communication concern of the paper's design is
+// exercised for real.
 //
 // The throttle is how heterogeneity is realized in *real* execution mode
 // on a homogeneous host: a device with slowdown s busy-waits (s-1)x the
@@ -180,49 +182,6 @@ class DeviceBuffer {
  private:
   Device* device_ = nullptr;
   std::int64_t bytes_ = 0;
-};
-
-/// Completion marker within a stream (cudaEvent_t stand-in): records a
-/// point in a stream's FIFO order; wait() blocks until every task
-/// enqueued before the record has executed.
-class Event {
- public:
-  Event();
-
-  /// Blocks until the recorded point has been reached. Waiting on a
-  /// never-recorded event returns immediately (CUDA semantics).
-  void wait();
-
-  /// True once the recorded point has passed (or nothing was recorded).
-  [[nodiscard]] bool ready() const;
-
- private:
-  friend class Stream;
-  struct State;
-  std::shared_ptr<State> state_;
-};
-
-/// FIFO stream over a device: tasks enqueued to one stream execute in
-/// order; distinct streams may interleave (cudaStream_t stand-in).
-class Stream {
- public:
-  explicit Stream(Device& device);
-  ~Stream();
-
-  Stream(const Stream&) = delete;
-  Stream& operator=(const Stream&) = delete;
-
-  void enqueue(std::function<void()> task);
-
-  /// Marks the current tail of the stream in `event` (re-recording moves
-  /// the marker).
-  void record(Event& event);
-
-  void synchronize();
-
- private:
-  struct Impl;
-  std::shared_ptr<Impl> impl_;  // shared with in-flight worker lambdas
 };
 
 }  // namespace mgpusw::vgpu

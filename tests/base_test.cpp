@@ -278,14 +278,6 @@ TEST(QueueTest, PushAfterCloseThrows) {
   EXPECT_THROW(queue.push(1), Error);
 }
 
-TEST(QueueTest, TryPushRespectsCapacity) {
-  base::BoundedQueue<int> queue(2);
-  EXPECT_TRUE(queue.try_push(1));
-  EXPECT_TRUE(queue.try_push(2));
-  EXPECT_FALSE(queue.try_push(3));
-  EXPECT_EQ(queue.size(), 2u);
-}
-
 TEST(QueueTest, BlockingPushUnblocksOnPop) {
   base::BoundedQueue<int> queue(1);
   queue.push(1);
@@ -361,30 +353,6 @@ TEST(ThreadPoolTest, ExecutesAllTasks) {
 TEST(ThreadPoolTest, WaitIdleOnEmptyPool) {
   base::ThreadPool pool(1);
   pool.wait_idle();  // must not hang
-}
-
-TEST(ThreadPoolTest, ParallelForCoversRange) {
-  base::ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(50);
-  pool.parallel_for(50, [&hits](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& hit : hits) {
-    EXPECT_EQ(hit.load(), 1);
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForReturnsOnlyAfterEveryShard) {
-  // Back-to-back calls reuse the caller's stack frame: a shard still
-  // touching the previous call's locals after it returned could lock a
-  // dead mutex and hang the pool.
-  base::ThreadPool pool(3);
-  std::atomic<long> total{0};
-  long expected = 0;
-  for (int round = 0; round < 10000; ++round) {
-    const std::size_t count = 1 + static_cast<std::size_t>(round % 7);
-    pool.parallel_for(count, [&total](std::size_t) { total.fetch_add(1); });
-    expected += static_cast<long>(count);
-  }
-  EXPECT_EQ(total.load(), expected);
 }
 
 TEST(ThreadPoolTest, SubmitAfterShutdownThrows) {

@@ -28,7 +28,7 @@ TEST(PartitionTest, SingleDeviceTakesAll) {
 }
 
 TEST(PartitionTest, EqualWeightsNearEqualSplit) {
-  const auto ranges = core::partition_columns_equal(1200, 3, 100);
+  const auto ranges = core::partition_columns(1200, {1.0, 1.0, 1.0}, 100);
   expect_tiles(ranges, 1200);
   EXPECT_EQ(ranges[0].cols, 400);
   EXPECT_EQ(ranges[1].cols, 400);

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <vector>
 
 #include "base/error.hpp"
 #include "seq/alphabet.hpp"
@@ -21,13 +25,6 @@ TEST(AlphabetTest, RoundTrip) {
   }
   EXPECT_EQ(seq::from_char('a'), seq::Nt::A);
   EXPECT_EQ(seq::from_char('t'), seq::Nt::T);
-}
-
-TEST(AlphabetTest, Complement) {
-  EXPECT_EQ(seq::complement(seq::Nt::A), seq::Nt::T);
-  EXPECT_EQ(seq::complement(seq::Nt::C), seq::Nt::G);
-  EXPECT_EQ(seq::complement(seq::Nt::G), seq::Nt::C);
-  EXPECT_EQ(seq::complement(seq::Nt::T), seq::Nt::A);
 }
 
 TEST(AlphabetTest, StrictBaseDetection) {
@@ -107,14 +104,6 @@ TEST(SequenceTest, Subsequence) {
   const seq::Sequence s("s", "ACGTACGT");
   const seq::Sequence sub = s.subsequence(2, 4);
   EXPECT_EQ(sub.to_string(), "GTAC");
-}
-
-TEST(SequenceTest, ReverseComplement) {
-  const seq::Sequence s("s", "AACGT");
-  EXPECT_EQ(s.reverse_complement().to_string(), "ACGTT");
-  // Involution.
-  EXPECT_EQ(s.reverse_complement().reverse_complement().to_string(),
-            "AACGT");
 }
 
 TEST(SequenceTest, Composition) {
@@ -245,6 +234,45 @@ TEST(SynthTest, GcContentRespected) {
   };
   EXPECT_NEAR(gc(low), 0.30, 0.02);
   EXPECT_NEAR(gc(high), 0.60, 0.02);
+}
+
+// Longest run of one repeated base.
+std::int64_t longest_homopolymer(const seq::Sequence& s) {
+  std::int64_t best = s.empty() ? 0 : 1;
+  std::int64_t run = 1;
+  for (std::int64_t i = 1; i < s.size(); ++i) {
+    run = s.at(i) == s.at(i - 1) ? run + 1 : 1;
+    best = std::max(best, run);
+  }
+  return best;
+}
+
+// Shannon entropy in bits of the sequence's k-mer distribution.
+double kmer_entropy(const seq::Sequence& s, int k) {
+  const std::uint64_t mask = (std::uint64_t{1} << (2 * k)) - 1;
+  std::vector<std::int64_t> counts(mask + 1, 0);
+  std::uint64_t code = 0;
+  for (std::int64_t i = 0; i < s.size(); ++i) {
+    code = ((code << 2) | static_cast<std::uint64_t>(s.at(i))) & mask;
+    if (i >= k - 1) ++counts[code];
+  }
+  const double total = static_cast<double>(std::max<std::int64_t>(
+      s.size() - k + 1, 1));
+  double entropy = 0.0;
+  for (const std::int64_t count : counts) {
+    if (count == 0) continue;
+    const double p = static_cast<double>(count) / total;
+    entropy -= p * std::log2(p);
+  }
+  return entropy;
+}
+
+TEST(SynthTest, GeneratedChromosomeIsNotRepetitive) {
+  // The generator must not produce pathological repeats that would make
+  // alignment scores meaningless.
+  const auto chromosome = seq::generate_chromosome("c", 50'000, 11);
+  EXPECT_LT(longest_homopolymer(chromosome), 20);
+  EXPECT_GT(kmer_entropy(chromosome, 8), 14.0);
 }
 
 TEST(SynthTest, BadGcContentThrows) {

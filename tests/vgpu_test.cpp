@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -173,91 +171,6 @@ TEST(DeviceTest, WorkerCountDefaultsCapped) {
   vgpu::Device device(vgpu::gtx_580(), {.worker_threads = 0});
   EXPECT_GE(device.worker_count(), 1);
   EXPECT_LE(device.worker_count(), 16);
-}
-
-// ---------------------------------------------------------------------------
-// streams
-
-TEST(StreamTest, FifoWithinStream) {
-  vgpu::Device device(vgpu::toy_device(1.0), {.worker_threads = 2});
-  vgpu::Stream stream(device);
-  std::vector<int> order;
-  std::mutex mu;
-  for (int i = 0; i < 30; ++i) {
-    stream.enqueue([&, i] {
-      std::lock_guard lock(mu);
-      order.push_back(i);
-    });
-  }
-  stream.synchronize();
-  ASSERT_EQ(order.size(), 30u);
-  for (int i = 0; i < 30; ++i) {
-    EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-  }
-}
-
-TEST(StreamTest, TwoStreamsBothComplete) {
-  vgpu::Device device(vgpu::toy_device(1.0), {.worker_threads = 2});
-  vgpu::Stream s1(device);
-  vgpu::Stream s2(device);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 10; ++i) {
-    s1.enqueue([&count] { count.fetch_add(1); });
-    s2.enqueue([&count] { count.fetch_add(1); });
-  }
-  s1.synchronize();
-  s2.synchronize();
-  EXPECT_EQ(count.load(), 20);
-}
-
-TEST(StreamTest, SynchronizeOnEmptyStream) {
-  vgpu::Device device(vgpu::toy_device(1.0));
-  vgpu::Stream stream(device);
-  stream.synchronize();  // must not hang
-}
-
-// ---------------------------------------------------------------------------
-// events
-
-TEST(EventTest, UnrecordedEventIsReady) {
-  vgpu::Event event;
-  EXPECT_TRUE(event.ready());
-  event.wait();  // must not hang
-}
-
-TEST(EventTest, WaitBlocksUntilPriorWorkDone) {
-  vgpu::Device device(vgpu::toy_device(1.0));
-  vgpu::Stream stream(device);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 5; ++i) {
-    stream.enqueue([&done] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      done.fetch_add(1);
-    });
-  }
-  vgpu::Event event;
-  stream.record(event);
-  std::atomic<bool> after{false};
-  stream.enqueue([&after] { after = true; });
-
-  event.wait();
-  EXPECT_EQ(done.load(), 5);  // everything before the record completed
-  stream.synchronize();
-  EXPECT_TRUE(after.load());
-}
-
-TEST(EventTest, ReRecordMovesMarker) {
-  vgpu::Device device(vgpu::toy_device(1.0));
-  vgpu::Stream stream(device);
-  vgpu::Event event;
-  stream.record(event);
-  event.wait();
-  EXPECT_TRUE(event.ready());
-  std::atomic<int> count{0};
-  stream.enqueue([&count] { count.fetch_add(1); });
-  stream.record(event);
-  event.wait();
-  EXPECT_EQ(count.load(), 1);
 }
 
 }  // namespace
