@@ -9,17 +9,11 @@
 // connect timeout, per-socket timeouts) lives in comm/tcp_stream and is
 // shared with the service daemon's listener.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
-#include <cerrno>
-#include <cstring>
 #include <memory>
-#include <mutex>
 
 #include "base/error.hpp"
 #include "base/time.hpp"
@@ -33,10 +27,6 @@ namespace mgpusw::comm {
 namespace {
 
 constexpr std::uint32_t kCloseSentinel = 0xFFFFFFFFu;
-
-[[noreturn]] void throw_errno(const char* what) {
-  throw IoError(std::string(what) + ": " + std::strerror(errno));
-}
 
 struct TcpState {
   int producer_fd = -1;
@@ -172,38 +162,19 @@ ChannelPair make_tcp_channel(std::size_t capacity_chunks,
   // hardened accept with it.
   TcpListener listener(0, /*backlog=*/1);
 
-  const int producer = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (producer < 0) throw_errno("socket");
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(listener.port());
-  try {
-    if (::connect(producer, reinterpret_cast<sockaddr*>(&addr),
-                  sizeof(addr)) < 0) {
-      throw_errno("connect");
-    }
-  } catch (...) {
-    ::close(producer);
-    throw;
-  }
+  // Border chunks are latency-sensitive (they gate the downstream
+  // device's wavefront): both ends get TCP_NODELAY, from connect() and
+  // from the listener.
+  TcpStream producer =
+      TcpStream::connect("127.0.0.1", listener.port(), timeout_ms);
   std::optional<TcpStream> accepted = listener.accept();
   if (!accepted.has_value()) {
-    ::close(producer);
     throw IoError("tcp channel rendezvous: listener closed");
   }
 
-  // Border chunks are latency-sensitive (they gate the downstream
-  // device's wavefront); disable Nagle. The accepted side already has
-  // TCP_NODELAY from the listener.
-  const int one = 1;
-  ::setsockopt(producer, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  set_socket_timeouts(producer, timeout_ms);
-
   auto state = std::make_shared<TcpState>();
-  state->producer_fd = producer;
   // TcpState owns both descriptors from here.
+  state->producer_fd = producer.release();
   state->consumer_fd = accepted->release();
   set_socket_timeouts(state->consumer_fd, timeout_ms);
   state->capacity = capacity_chunks;

@@ -20,7 +20,7 @@ namespace {
 
 /// Runs every item short enough for the inter-sequence kernel through
 /// sw::batch_align_scores (many pairs per vector) and fills its batch
-/// entry; marks those items handled so the device workers skip them.
+/// entry; marks those items handled so the item threads skip them.
 void run_interseq_prepass(const BatchConfig& config,
                           const std::vector<BatchItem>& items,
                           BatchResult& batch, std::vector<char>& handled) {
@@ -269,7 +269,7 @@ BatchResult run_batch(const BatchConfig& config, DeviceFleet& fleet,
                      return items[a].priority > items[b].priority;
                    });
 
-  const std::size_t worker_count = std::min<std::size_t>(
+  const std::size_t thread_count = std::min<std::size_t>(
       static_cast<std::size_t>(config.max_in_flight), items.size());
 
   std::atomic<std::size_t> next_slot{0};
@@ -302,12 +302,12 @@ BatchResult run_batch(const BatchConfig& config, DeviceFleet& fleet,
     }
   };
 
-  if (worker_count == 1) {
+  if (thread_count == 1) {
     worker();  // sequential mode: no thread overhead, same code path
   } else {
     std::vector<std::thread> threads;
-    threads.reserve(worker_count);
-    for (std::size_t i = 0; i < worker_count; ++i) {
+    threads.reserve(thread_count);
+    for (std::size_t i = 0; i < thread_count; ++i) {
       threads.emplace_back(worker);
     }
     for (std::thread& thread : threads) thread.join();

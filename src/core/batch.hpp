@@ -79,7 +79,7 @@ struct BatchConfig {
   /// Items whose query AND subject are both at most this many bases skip
   /// the block engine and run through the inter-sequence SIMD kernel
   /// (sw/batch_simd.hpp) — one pair per vector lane, 16/32 short
-  /// comparisons at a time — before the device workers start. 0 = off.
+  /// comparisons at a time — before the item threads start. 0 = off.
   /// Results are bit-identical to engine runs; the per-item EngineResult
   /// then reports the batch kernel's name and a proportional share of
   /// the pre-pass wall time.

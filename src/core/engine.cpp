@@ -109,7 +109,6 @@ AlignmentPlan MultiDeviceEngine::plan(std::int64_t rows, std::int64_t cols,
   request.block_cols = config_.block_cols;
   request.buffer_capacity = config_.buffer_capacity;
   request.transport = config_.transport;
-  request.schedule = config_.schedule;
   request.default_kernel = config_.kernel;
   request.weights = balance_weights();
   request.device_kernels.reserve(devices_.size());
@@ -243,7 +242,6 @@ EngineResult MultiDeviceEngine::run_internal(const seq::Sequence& query,
   context.scheme = config_.scheme;
   context.block_rows = config_.block_rows;
   context.block_cols = config_.block_cols;
-  context.schedule = plan.schedule;
   context.enable_pruning = config_.enable_pruning;
   context.special_row_interval = config_.special_row_interval;
   context.special_rows = config_.special_rows;

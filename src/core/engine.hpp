@@ -9,11 +9,10 @@
 //   │   speed_0)   │ ◄── border (H,E) ──  │ ◄── border (H,E) ── │   │
 //   └──────────────┴──────────────────────┴─────────────────────┘   ▼
 //
-// Each device sweeps its slice in block wavefront order (external block
-// diagonals, CUDAlign-style). When a block of the slice's last column
-// finishes, its (H, E) border cells are pushed into a bounded circular
-// buffer; the right-hand neighbour pops them to seed its first block
-// column. The buffer capacity bounds how far a device can run ahead —
+// Each device sweeps its slice one block row at a time. When block row
+// i of the slice finishes, the (H, E) cells of its right edge are pushed
+// into a bounded circular buffer; the right-hand neighbour pops them to
+// seed block row i of its first block column. The buffer capacity bounds how far a device can run ahead —
 // the paper's mechanism for overlapping communication with computation.
 //
 // The engine is the thin top of a three-layer core (see DESIGN.md):
@@ -22,7 +21,7 @@
 //   engine (this file)             — plan → build runners → join →
 //                                    reduce.
 // Execution is real: every matrix cell is computed with the Gotoh
-// recurrences on the devices' worker threads, and the result provably
+// recurrences on one host thread per device, and the result provably
 // equals the serial scan (see tests/core).
 #pragma once
 
@@ -54,7 +53,6 @@ struct EngineConfig {
   std::int64_t block_cols = 512;   // block width (subject direction)
   std::int64_t buffer_capacity = 16;  // circular buffer size, in chunks
   Transport transport = Transport::kInProcess;
-  Schedule schedule = Schedule::kRowMajor;
 
   /// Block kernel, by registry name (sw::kernel_registry(); e.g. "row",
   /// "simd", "simd16", "auto"). Every kernel produces bit-identical
@@ -177,7 +175,7 @@ class MultiDeviceEngine {
   /// (checkpoint_row, end). The returned best covers the *resumed region
   /// only*; combine it with the best recorded before the interruption
   /// using sw::improves. checkpoint_row must lie on a block-row boundary
-  /// ((row + 1) % block_rows == 0). Both schedules are supported.
+  /// ((row + 1) % block_rows == 0).
   [[nodiscard]] EngineResult resume(const seq::Sequence& query,
                                     const seq::Sequence& subject,
                                     const SpecialRowStore& checkpoints,

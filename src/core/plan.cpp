@@ -5,13 +5,6 @@
 
 namespace mgpusw::core {
 
-std::int64_t AlignmentPlan::schedule_units(std::size_t device) const {
-  MGPUSW_CHECK(device < devices.size());
-  const std::int64_t rows_left = block_row_count - start_block_row;
-  if (schedule == Schedule::kRowMajor) return rows_left;
-  return rows_left + devices[device].block_columns - 1;
-}
-
 AlignmentPlan make_plan(const PlanRequest& request) {
   MGPUSW_REQUIRE(request.rows > 0 && request.cols > 0,
                  "matrix dimensions must be positive");
@@ -35,7 +28,6 @@ AlignmentPlan make_plan(const PlanRequest& request) {
   plan.block_row_count = base::div_ceil(request.rows, request.block_rows);
   plan.buffer_capacity = request.buffer_capacity;
   plan.transport = request.transport;
-  plan.schedule = request.schedule;
   plan.start_block_row = request.start_block_row;
   MGPUSW_REQUIRE(request.start_block_row < plan.block_row_count,
                  "start_block_row " << request.start_block_row

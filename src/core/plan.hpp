@@ -7,8 +7,8 @@
 // position. Both the real engine (core::MultiDeviceEngine) and the
 // performance model (sim::simulate_pipeline) build their execution from
 // the same plan, so the slice arithmetic exists in exactly one place —
-// the engine validates the schedule computes correct scores, the
-// simulator projects the same schedule to paper-scale hardware.
+// the engine validates the pipeline computes correct scores, the
+// simulator projects it to paper-scale hardware.
 #pragma once
 
 #include <cstdint>
@@ -35,26 +35,6 @@ enum class Transport {
   kTcp,        // loopback TCP sockets with the same framing
 };
 
-/// How a device orders the blocks of its slice. Both orders respect the
-/// DP dependencies and produce identical results; they differ in
-/// pipeline behaviour:
-///   * kRowMajor (default) — fine-grain pipelining: the border chunk for
-///     block row i ships as soon as row i is done, so a downstream device
-///     lags its neighbour by one block row. This matches the paper's
-///     communication-hiding design. Within a device, blocks execute
-///     sequentially.
-///   * kDiagonal — CUDAlign-style external block diagonals with a barrier
-///     per diagonal; blocks within a diagonal are independent and run
-///     concurrently on the device's worker pool. Maximises intra-device
-///     parallelism but delays border chunks (chunk i completes only with
-///     diagonal i + nbc - 1), lengthening the pipeline fill/drain.
-/// The schedule ablation benchmark (bench/ablation_schedule) quantifies
-/// the difference.
-enum class Schedule {
-  kRowMajor,
-  kDiagonal,
-};
-
 /// One device's share of the plan.
 struct SlicePlan {
   ColumnRange slice;               // contiguous subject columns
@@ -77,7 +57,6 @@ struct PlanRequest {
   std::int64_t block_cols = 512;
   std::int64_t buffer_capacity = 16;
   Transport transport = Transport::kInProcess;
-  Schedule schedule = Schedule::kRowMajor;
   std::string default_kernel{sw::kDefaultKernel};
   std::vector<double> weights;
   std::vector<std::string> device_kernels;
@@ -93,7 +72,6 @@ struct AlignmentPlan {
   std::int64_t block_row_count = 0;  // nbr, shared by every slice
   std::int64_t buffer_capacity = 0;
   Transport transport = Transport::kInProcess;
-  Schedule schedule = Schedule::kRowMajor;
   std::int64_t start_block_row = 0;
   std::vector<SlicePlan> devices;
 
@@ -104,10 +82,11 @@ struct AlignmentPlan {
     return devices.empty() ? 0 : devices.size() - 1;
   }
 
-  /// Scheduling units device d steps through (block rows in kRowMajor,
-  /// external diagonals in kDiagonal) — the denominator of progress
-  /// reporting.
-  [[nodiscard]] std::int64_t schedule_units(std::size_t device) const;
+  /// Scheduling units every device steps through: the block rows left
+  /// below start_block_row.
+  [[nodiscard]] std::int64_t schedule_units() const {
+    return block_row_count - start_block_row;
+  }
 
   bool operator==(const AlignmentPlan&) const = default;
 };

@@ -42,8 +42,7 @@ namespace mgpusw::core {
 struct RebalancePolicy {
   bool enabled = false;
   /// Evaluate the split every time the *slowest* device has completed
-  /// this many further scheduling units (block rows under kRowMajor,
-  /// external diagonals under kDiagonal).
+  /// this many further block rows.
   std::int64_t check_every_rows = 8;
   /// Hysteresis threshold: re-split only when the projected makespan of
   /// the current split exceeds a perfectly proportional one by this

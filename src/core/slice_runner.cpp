@@ -181,14 +181,7 @@ SliceRunner::SliceRunner(const RunnerContext& context,
       obs_(context.obs),
       profile_(context.obs.profile_phases) {
   exchange_.set_obs(obs_);
-  // The checkpoint phase can only be charged when save() runs on this
-  // driver thread; under the diagonal schedule with multiple device
-  // workers, compute_one runs off-thread and checkpoint time stays
-  // inside the compute phase.
-  const bool driver_inline = context.schedule == Schedule::kRowMajor ||
-                             device.worker_count() == 1;
-  special_rows_.set_obs(obs_, profile_ && driver_inline ? &profiler_
-                                                        : nullptr);
+  special_rows_.set_obs(obs_, profile_ ? &profiler_ : nullptr);
 }
 
 void SliceRunner::init_borders() {
@@ -247,10 +240,32 @@ void SliceRunner::run() {
       sizeof(sw::Score));
   vgpu::DeviceBuffer buffer = device_.allocate(border_bytes);
 
-  if (context_.schedule == Schedule::kRowMajor) {
-    RowMajorSchedule{}.run(*this);
-  } else {
-    DiagonalSchedule{}.run(*this);
+  for (std::int64_t i = start_block_row_; i < nbr_; ++i) {
+    throw_if_stop_requested();
+    if (exchange_.has_upstream()) {
+      phase(obs::Phase::kBorderRecv);
+      exchange_.receive(i, col_h_.data(), col_e_.data(),
+                        chunk_corner_[static_cast<std::size_t>(i)]);
+    }
+    phase(obs::Phase::kCompute);
+    if (context_.enable_pruning) {
+      for (std::int64_t j = 0; j < nbc_; ++j) {
+        TaskOutcome outcome;
+        compute_one(i, j, outcome);
+        reduce_outcome(outcome);
+      }
+    } else {
+      TaskOutcome outcome;
+      compute_row(i, outcome);
+      reduce_outcome(outcome);
+    }
+    publish_best();
+    if (exchange_.has_downstream()) {
+      phase(obs::Phase::kBorderSend);
+      exchange_.send(i, col_h_.data(), col_e_.data(), sent_corner_);
+    }
+    phase(obs::Phase::kIdle);
+    notify_progress(i + 1);
   }
 
   phase(obs::Phase::kBorderSend);
@@ -289,8 +304,7 @@ void SliceRunner::flush_obs() {
   }
 }
 
-void SliceRunner::reduce_outcome(TaskOutcome& outcome) {
-  if (outcome.error) std::rethrow_exception(outcome.error);
+void SliceRunner::reduce_outcome(const TaskOutcome& outcome) {
   MGPUSW_CHECK(outcome.valid);
   stats_.blocks += outcome.blocks;
   if (outcome.pruned) {
@@ -307,21 +321,19 @@ void SliceRunner::reduce_outcome(TaskOutcome& outcome) {
 
 void SliceRunner::publish_best() { atomic_max(global_best_, best_.score); }
 
-void SliceRunner::notify_progress(std::int64_t completed,
-                                  std::int64_t total,
-                                  std::int64_t settled_block_rows) {
+void SliceRunner::notify_progress(std::int64_t settled_block_rows) {
   if (obs_.tracer != nullptr) {
     // ProgressEvent re-expressed as a trace counter: one series per
-    // device, plotting completed scheduling units over time.
+    // device, plotting completed block rows over time.
     obs_.tracer->counter("engine",
                          "progress dev" + std::to_string(device_index_),
-                         completed);
+                         settled_block_rows);
   }
   if (!context_.progress) return;
   ProgressEvent event;
   event.device_index = device_index_;
-  event.completed_units = completed;
-  event.total_units = total;
+  event.completed_units = settled_block_rows;
+  event.total_units = nbr_;
   event.device_cells_done = stats_.cells;
   event.t_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                    std::chrono::steady_clock::now() - context_.run_epoch)
@@ -329,11 +341,9 @@ void SliceRunner::notify_progress(std::int64_t completed,
   event.job = context_.job;
   event.busy_ns = device_.busy_ns() - initial_busy_ns_;
   event.device_count = context_.device_count;
-  if (settled_block_rows > 0) {
-    const std::int64_t rows = static_cast<std::int64_t>(query_.size());
-    event.safe_row =
-        std::min(settled_block_rows * context_.block_rows, rows) - 1;
-  }
+  const std::int64_t rows = static_cast<std::int64_t>(query_.size());
+  event.safe_row =
+      std::min(settled_block_rows * context_.block_rows, rows) - 1;
   event.best = best_;
   context_.progress(event);
 }
@@ -483,131 +493,6 @@ void SliceRunner::compute_row_prefix(std::int64_t i, std::int64_t j_end,
     special_rows_.save(i, r0 + bh - 1, slice_.first_col + c0,
                        std::min(context_.block_cols, width - c0),
                        row_h_.data() + c0, row_f_.data() + c0);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// schedules
-
-void RowMajorSchedule::run(SliceRunner& r) const {
-  TaskOutcome outcome;
-  for (std::int64_t i = r.start_block_row_; i < r.nbr_; ++i) {
-    r.throw_if_stop_requested();
-    if (r.exchange_.has_upstream()) {
-      r.phase(obs::Phase::kBorderRecv);
-      r.exchange_.receive(i, r.col_h_.data(), r.col_e_.data(),
-                          r.chunk_corner_[static_cast<std::size_t>(i)]);
-    }
-    r.phase(obs::Phase::kCompute);
-    if (r.context_.enable_pruning) {
-      for (std::int64_t j = 0; j < r.nbc_; ++j) {
-        outcome = TaskOutcome{};
-        r.compute_one(i, j, outcome);
-        r.reduce_outcome(outcome);
-      }
-    } else {
-      outcome = TaskOutcome{};
-      r.compute_row(i, outcome);
-      r.reduce_outcome(outcome);
-    }
-    r.publish_best();
-    if (r.exchange_.has_downstream()) {
-      r.phase(obs::Phase::kBorderSend);
-      r.exchange_.send(i, r.col_h_.data(), r.col_e_.data(),
-                       r.sent_corner_);
-    }
-    r.phase(obs::Phase::kIdle);
-    r.notify_progress(i + 1, r.nbr_, i + 1);
-  }
-}
-
-void DiagonalSchedule::run(SliceRunner& r) const {
-  // Per-block-column scratch for the in-flight diagonal; row-major never
-  // needs this, so the storage lives with the schedule that uses it.
-  std::vector<TaskOutcome> outcomes(static_cast<std::size_t>(r.nbc_));
-  // When resuming, the diagonals sweep only the rows below the
-  // checkpoint; absolute block-row indices (chunk sequence numbers,
-  // compute coordinates) keep their full-matrix values.
-  const std::int64_t start = r.start_block_row_;
-  const std::int64_t nbr_eff = r.nbr_ - start;
-  for (std::int64_t diag = 0; diag <= nbr_eff + r.nbc_ - 2; ++diag) {
-    r.throw_if_stop_requested();
-    // 1. Receive the border chunk feeding this diagonal's first-column
-    //    block (device d > 0 only).
-    if (r.exchange_.has_upstream() && diag < nbr_eff) {
-      r.phase(obs::Phase::kBorderRecv);
-      const std::int64_t i_recv = start + diag;
-      r.exchange_.receive(
-          i_recv, r.col_h_.data(), r.col_e_.data(),
-          r.chunk_corner_[static_cast<std::size_t>(i_recv)]);
-    }
-
-    // 2. Launch every block on this external diagonal. compute_one may
-    //    throw (kernel fault, dying device); on a worker thread the
-    //    exception is parked in the outcome — letting it escape would
-    //    terminate the pool — and rethrown by reduce on the driver.
-    r.phase(obs::Phase::kCompute);
-    const std::int64_t li_lo =
-        std::max<std::int64_t>(0, diag - (r.nbc_ - 1));
-    const std::int64_t li_hi = std::min<std::int64_t>(nbr_eff - 1, diag);
-    const bool inline_exec = r.device_.worker_count() == 1;
-    for (std::int64_t li = li_lo; li <= li_hi; ++li) {
-      const std::int64_t i = start + li;
-      const std::int64_t j = diag - li;
-      TaskOutcome& outcome = outcomes[static_cast<std::size_t>(j)];
-      outcome = TaskOutcome{};
-      if (inline_exec) {
-        try {
-          r.compute_one(i, j, outcome);
-        } catch (...) {
-          outcome.error = std::current_exception();
-        }
-      } else {
-        r.device_.execute([&r, i, j, &outcome] {
-          try {
-            r.compute_one(i, j, outcome);
-          } catch (...) {
-            outcome.error = std::current_exception();
-          }
-        });
-      }
-    }
-    if (!inline_exec) r.device_.synchronize();
-
-    // 3. Reduce this diagonal's results — valid outcomes first, failure
-    //    after. Every block that saved its special-row segment must also
-    //    be folded into best_, or a restart from that row could miss its
-    //    contribution and break bit-identical recovery.
-    std::exception_ptr failure;
-    for (std::int64_t li = li_lo; li <= li_hi; ++li) {
-      const std::int64_t j = diag - li;
-      TaskOutcome& outcome = outcomes[static_cast<std::size_t>(j)];
-      if (outcome.error) {
-        if (!failure) failure = outcome.error;
-        continue;
-      }
-      r.reduce_outcome(outcome);
-    }
-    r.publish_best();
-    if (failure) std::rethrow_exception(failure);
-
-    // 4. Ship the border chunk completed by this diagonal (last block
-    //    column), honouring the circular buffer's capacity.
-    if (r.exchange_.has_downstream()) {
-      const std::int64_t li_send = diag - (r.nbc_ - 1);
-      if (li_send >= 0 && li_send < nbr_eff) {
-        r.phase(obs::Phase::kBorderSend);
-        r.exchange_.send(start + li_send, r.col_h_.data(),
-                         r.col_e_.data(), r.sent_corner_);
-      }
-    }
-    r.phase(obs::Phase::kIdle);
-    // Relative block row li settles once diagonal li + nbc - 1 is done,
-    // so after `diag` the first max(0, diag - nbc + 2) relative rows are
-    // complete; rows before `start` were settled by the predecessor.
-    r.notify_progress(diag + 1, nbr_eff + r.nbc_ - 1,
-                      start + std::max<std::int64_t>(
-                                  0, diag - r.nbc_ + 2));
   }
 }
 

@@ -10,9 +10,11 @@
 //                         and stall accounting;
 //   * BlockPruner       — the CUDAlign-2.1 upper-bound pruning decision
 //                         (pure arithmetic, no state);
-//   * SpecialRowCapture — checkpoint rows saved every k-th block row;
-//   * RowMajorSchedule / DiagonalSchedule — the two block orderings
-//                         (fine-grain pipeline vs external diagonals).
+//   * SpecialRowCapture — checkpoint rows saved every k-th block row.
+//
+// SliceRunner::run drives the paper's fine-grain pipeline: block rows in
+// sequence, and the border chunk of row i ships the moment row i is
+// done.
 //
 // The engine (core/engine.cpp) builds one runner per device from an
 // AlignmentPlan and joins them; nothing in this layer knows about device
@@ -23,7 +25,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <string>
 #include <vector>
@@ -45,8 +46,7 @@ class Histogram;
 namespace mgpusw::core {
 
 /// Progress notification, emitted by each device's driver thread after
-/// every completed scheduling unit (block row in kRowMajor, external
-/// diagonal in kDiagonal).
+/// every completed block row of its slice.
 struct ProgressEvent {
   int device_index = 0;
   std::int64_t completed_units = 0;
@@ -124,7 +124,6 @@ struct RunnerContext {
   sw::ScoreScheme scheme;
   std::int64_t block_rows = 512;
   std::int64_t block_cols = 512;
-  Schedule schedule = Schedule::kRowMajor;
   bool enable_pruning = false;
   std::int64_t special_row_interval = 0;
   SpecialRowStore* special_rows = nullptr;
@@ -136,7 +135,7 @@ struct RunnerContext {
   int device_count = 1;
 
   /// Cooperative stop flag (EngineConfig::stop_request): polled at every
-  /// scheduling-unit boundary; when raised, the runner throws
+  /// block-row boundary; when raised, the runner throws
   /// InterruptedError so the run unwinds restartably. Null disables.
   std::atomic<bool>* stop_request = nullptr;
 
@@ -149,17 +148,13 @@ struct RunnerContext {
 };
 
 /// Result of one kernel call — one block, or a fused run of a block
-/// row's blocks — reduced by the driver after each scheduling unit.
+/// row's blocks — reduced into the runner's totals right after the call.
 struct TaskOutcome {
   sw::BlockResult block;
   std::int64_t blocks = 1;  // block columns the call covered
   std::int64_t cells = 0;
   bool pruned = false;
   bool valid = false;
-  /// Exception thrown by compute_one on a device worker thread
-  /// (DiagonalSchedule): captured there — a throw would escape the
-  /// thread pool and terminate — and rethrown by the driver's reduce.
-  std::exception_ptr error;
 };
 
 /// Largest incoming-border H value of a block: the seed of the pruning
@@ -206,9 +201,8 @@ class SpecialRowCapture {
                     bool save_f)
       : interval_(interval), store_(store), save_f_(save_f) {}
 
-  /// Attaches tracing/metrics. `profiler` must be null unless save()
-  /// always runs on the profiler's driver thread (the runner passes it
-  /// only for inline execution).
+  /// Attaches tracing/metrics and the runner's phase profiler (null when
+  /// phase profiling is off); save() charges its time to kCheckpoint.
   void set_obs(const obs::Scope& scope, obs::PhaseProfiler* profiler) {
     scope_ = scope;
     profiler_ = profiler;
@@ -283,28 +277,9 @@ class BorderExchange {
   obs::Histogram* border_wait_ms_ = nullptr;
 };
 
-class SliceRunner;
-
-/// Fine-grain pipeline order: block rows in sequence, columns left to
-/// right; chunk i ships the moment row i completes (the paper's overlap
-/// behaviour). Blocks run inline on the driver thread. Without pruning,
-/// a block row of the slice is one kernel call over block_rows x
-/// slice.cols (compute_row); the block columns stay the unit of fault
-/// points, block counts and checkpoint segments. Pruning decides block
-/// by block, so it keeps one call per block (compute_one).
-struct RowMajorSchedule {
-  void run(SliceRunner& runner) const;
-};
-
-/// CUDAlign-style external block diagonals with a barrier per diagonal;
-/// blocks of one diagonal run concurrently on the device's workers.
-struct DiagonalSchedule {
-  void run(SliceRunner& runner) const;
-};
-
-/// Executes one device's column slice: owns the border state, computes
-/// blocks through the resolved kernel, and delegates ordering to the
-/// schedule named by the plan.
+/// Executes one device's column slice: owns the border state and
+/// computes its blocks through the resolved kernel on the calling
+/// thread.
 class SliceRunner {
  public:
   /// `slice_plan` and `block_row_count` come from the AlignmentPlan;
@@ -321,6 +296,12 @@ class SliceRunner {
               const sw::Score* seed_f = nullptr);
 
   /// Runs the slice to completion. Called on the device's driver thread.
+  /// Block rows run in sequence, and chunk i ships the moment row i
+  /// completes (the paper's overlap behaviour). Without pruning, a block
+  /// row of the slice is one kernel call over block_rows x slice.cols
+  /// (compute_row); the block columns stay the unit of fault points,
+  /// block counts and checkpoint segments. Pruning decides block by
+  /// block, so it keeps one call per block (compute_one).
   void run();
 
   [[nodiscard]] const DeviceRunStats& stats() const { return stats_; }
@@ -329,9 +310,6 @@ class SliceRunner {
   void snapshot_initial_busy() { initial_busy_ns_ = device_.busy_ns(); }
 
  private:
-  friend struct RowMajorSchedule;
-  friend struct DiagonalSchedule;
-
   void init_borders();
   void compute_one(std::int64_t i, std::int64_t j, TaskOutcome& outcome);
   /// Block row `i` as one wide tile: fault points for every block column
@@ -341,21 +319,20 @@ class SliceRunner {
   /// Blocks [0, j_end) of block row `i` in one kernel call.
   void compute_row_prefix(std::int64_t i, std::int64_t j_end,
                           TaskOutcome& outcome);
-  void reduce_outcome(TaskOutcome& outcome);
+  void reduce_outcome(const TaskOutcome& outcome);
   void publish_best();
   /// `settled_block_rows` counts block rows of the matrix (from row 0,
   /// including rows settled by the resume predecessor) whose every block
-  /// in this slice is complete — the durability cursor behind
-  /// ProgressEvent::safe_row.
-  void notify_progress(std::int64_t completed, std::int64_t total,
-                       std::int64_t settled_block_rows);
+  /// in this slice is complete — the progress cursor (completed_units of
+  /// nbr) and the durability cursor behind ProgressEvent::safe_row.
+  void notify_progress(std::int64_t settled_block_rows);
 
   /// Throws InterruptedError when the engine's cooperative stop flag is
-  /// raised. The schedules call it at unit boundaries only, so every
+  /// raised. run() calls it at block-row boundaries only, so every
   /// block (and checkpoint segment) completed so far stays intact.
   void throw_if_stop_requested() const;
 
-  /// One-branch phase hook used by the schedules.
+  /// One-branch phase hook used by run().
   void phase(obs::Phase next) {
     if (profile_) profiler_.switch_to(next);
   }

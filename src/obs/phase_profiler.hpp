@@ -11,10 +11,9 @@
 // shows border-recv-bound — and is asserted in tests (phase sums ==
 // wall time within tolerance).
 //
-// Driver-thread only: not thread-safe, by design. Under the diagonal
-// schedule with multiple device workers, kernel time runs off-thread
-// and the driver's "compute" phase covers launch + synchronize; the
-// DeviceRunStats busy_ns field remains the kernel-side truth.
+// One thread only: not thread-safe, by design. The runner computes
+// every block on that one thread, so each phase, checkpoint saves
+// included, is charged where it happens.
 #pragma once
 
 #include <array>
@@ -24,7 +23,7 @@
 namespace mgpusw::obs {
 
 enum class Phase : std::uint8_t {
-  kCompute,     // block kernels (launch + inline execution)
+  kCompute,     // block kernels
   kBorderRecv,  // blocked on the upstream border source
   kBorderSend,  // blocked on the downstream border sink
   kCheckpoint,  // special-row persistence

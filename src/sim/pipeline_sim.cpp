@@ -206,13 +206,6 @@ SimResult simulate_diagonal(const SimConfig& config,
   return result;
 }
 
-/// Maps the simulator's schedule knob onto the planner's.
-core::Schedule plan_schedule(SimSchedule schedule) {
-  return schedule == SimSchedule::kDiagonalBarrier
-             ? core::Schedule::kDiagonal
-             : core::Schedule::kRowMajor;
-}
-
 }  // namespace
 
 std::int64_t find_crossover_length(SimConfig config, double margin,
@@ -271,7 +264,7 @@ SimResult simulate_pipeline(const SimConfig& config,
     MGPUSW_REQUIRE(spec.sw_gcups > 0, spec.name << " has non-positive rate");
   }
 
-  if (plan.schedule == core::Schedule::kDiagonal) {
+  if (config.schedule == SimSchedule::kDiagonalBarrier) {
     SimResult result = simulate_diagonal(config, plan);
     MGPUSW_CHECK(result.total_cells == plan.rows * plan.cols);
     return result;
@@ -403,7 +396,6 @@ SimResult simulate_pipeline(const SimConfig& config) {
   request.block_rows = config.block_rows;
   request.block_cols = config.block_cols;
   request.buffer_capacity = config.buffer_capacity;
-  request.schedule = plan_schedule(config.schedule);
   request.weights = config.weights.empty()
                         ? core::profile_weights(config.devices)
                         : config.weights;
@@ -452,7 +444,6 @@ RebalanceSimResult simulate_rebalance(const SimConfig& config) {
     request.block_rows = segment.block_rows;
     request.block_cols = segment.block_cols;
     request.buffer_capacity = segment.buffer_capacity;
-    request.schedule = core::Schedule::kRowMajor;
     request.weights = weights;
     const core::AlignmentPlan plan = core::make_plan(request);
 

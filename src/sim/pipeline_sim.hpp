@@ -36,7 +36,8 @@
 
 namespace mgpusw::sim {
 
-/// Which engine schedule the model mimics (see core::Schedule).
+/// Which block schedule the model runs. kRowMajor is the schedule the
+/// real engine runs; kDiagonalBarrier exists only in the model.
 enum class SimSchedule {
   /// Fine-grain row-major pipeline: chunk i ships when block row i is
   /// done; the cross-device lag is one block row.
@@ -105,7 +106,7 @@ struct SimResult {
 
 /// Runs the model. Deterministic; O(total block diagonals) time.
 /// Geometry and slices are derived through core::make_plan, so the
-/// simulated schedule is exactly the one the real engine would execute.
+/// simulated slices are exactly the ones the real engine would run.
 [[nodiscard]] SimResult simulate_pipeline(const SimConfig& config);
 
 /// One executed segment of a rebalanced simulation: the split it ran
@@ -141,8 +142,8 @@ struct RebalanceSimResult {
 
 /// Runs the model against a caller-supplied plan (e.g. the exact plan a
 /// MultiDeviceEngine reports via plan()). The plan's geometry overrides
-/// the config's; config still supplies the device rate profiles. The
-/// plan must have one slice per config device.
+/// the config's; config still supplies the device rate profiles and the
+/// schedule. The plan must have one slice per config device.
 [[nodiscard]] SimResult simulate_pipeline(const SimConfig& config,
                                           const core::AlignmentPlan& plan);
 

@@ -1,8 +1,7 @@
 #include "vgpu/device.hpp"
 
-#include <algorithm>
 #include <mutex>
-#include <thread>
+#include <utility>
 
 #include "base/error.hpp"
 #include "base/time.hpp"
@@ -10,24 +9,11 @@
 
 namespace mgpusw::vgpu {
 
-namespace {
-
-int resolve_workers(const DeviceSpec& spec, const DeviceOptions& options) {
-  if (options.worker_threads > 0) return options.worker_threads;
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  return static_cast<int>(
-      std::min<unsigned>(static_cast<unsigned>(spec.sm_count), hw));
-}
-
-}  // namespace
-
 Device::Device(DeviceSpec spec, DeviceOptions options)
-    : spec_(std::move(spec)), options_(options) {
-  MGPUSW_REQUIRE(options_.slowdown >= 1.0,
-                 "slowdown must be >= 1.0, got " << options_.slowdown);
-  slowdown_.store(options_.slowdown, std::memory_order_relaxed);
-  pool_ = std::make_unique<base::ThreadPool>(
-      static_cast<std::size_t>(resolve_workers(spec_, options_)));
+    : spec_(std::move(spec)) {
+  MGPUSW_REQUIRE(options.slowdown >= 1.0,
+                 "slowdown must be >= 1.0, got " << options.slowdown);
+  slowdown_.store(options.slowdown, std::memory_order_relaxed);
 }
 
 void Device::set_slowdown(double slowdown) {
@@ -38,16 +24,6 @@ void Device::set_slowdown(double slowdown) {
   window_ = {};
   window_epoch_.fetch_add(1);
 }
-
-Device::~Device() { pool_->shutdown(); }
-
-int Device::worker_count() const { return static_cast<int>(pool_->size()); }
-
-void Device::execute(std::function<void()> task) {
-  pool_->submit(std::move(task));
-}
-
-void Device::synchronize() { pool_->wait_idle(); }
 
 void Device::account_kernel(std::int64_t busy_ns, std::int64_t cells) {
   kernels_.fetch_add(1, std::memory_order_relaxed);

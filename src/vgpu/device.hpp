@@ -1,13 +1,12 @@
 // Virtual GPU runtime.
 //
-// A Device stands in for one CUDA device: it owns a worker pool (its
-// "SMs"), a tracked memory arena (cudaMalloc stand-in) and an optional
-// speed throttle. The multi-device engine treats a Device as CUDAlign's
-// host code treats a GPU: the diagonal schedule launches the blocks of
-// an anti-diagonal with execute() and waits with synchronize(), and each
-// slice's border buffers are allocate()d against the device's memory, so
-// every scheduling and communication concern of the paper's design is
-// exercised for real.
+// A Device stands in for one CUDA device: it owns a tracked memory arena
+// (cudaMalloc stand-in), kernel counters and an optional speed throttle.
+// It starts no thread of its own: the engine's per-device host thread
+// runs each kernel inline and reports it through account_kernel(), the
+// way a CUDA host thread launches and waits on its GPU. Each slice's
+// border buffers are allocate()d against the device's memory, and the
+// kernel launches and allocations are where injected faults strike.
 //
 // The throttle is how heterogeneity is realized in *real* execution mode
 // on a homogeneous host: a device with slowdown s busy-waits (s-1)x the
@@ -23,11 +22,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <mutex>
+#include <utility>
 
-#include "base/thread_pool.hpp"
 #include "vgpu/spec.hpp"
 
 namespace mgpusw::vgpu {
@@ -35,9 +32,6 @@ namespace mgpusw::vgpu {
 class FaultInjector;
 
 struct DeviceOptions {
-  /// Host worker threads emulating the SMs. 0 = one per SM capped by the
-  /// machine's hardware concurrency.
-  int worker_threads = 1;
   /// Speed throttle >= 1.0; 1.0 = full host speed.
   double slowdown = 1.0;
 };
@@ -54,13 +48,11 @@ class DeviceBuffer;
 class Device {
  public:
   Device(DeviceSpec spec, DeviceOptions options = {});
-  ~Device();
 
   Device(const Device&) = delete;
   Device& operator=(const Device&) = delete;
 
   [[nodiscard]] const DeviceSpec& spec() const { return spec_; }
-  [[nodiscard]] int worker_count() const;
   [[nodiscard]] double slowdown() const {
     return slowdown_.load(std::memory_order_relaxed);
   }
@@ -72,12 +64,6 @@ class Device {
   /// Restarts the rate window: work measured at the old throttle no
   /// longer describes the device.
   void set_slowdown(double slowdown);
-
-  /// Submits a task to the device's workers (kernel launch stand-in).
-  void execute(std::function<void()> task);
-
-  /// Blocks until all submitted tasks completed (cudaDeviceSynchronize).
-  void synchronize();
 
   /// Busy-waits the throttle penalty for a kernel that took busy_ns of
   /// host time, and accounts the kernel into the device counters and the
@@ -131,9 +117,7 @@ class Device {
   void release(std::int64_t bytes);
 
   const DeviceSpec spec_;
-  const DeviceOptions options_;
   std::atomic<double> slowdown_{1.0};  // runtime throttle, mutable mid-run
-  std::unique_ptr<base::ThreadPool> pool_;
   std::atomic<FaultInjector*> fault_{nullptr};
   std::atomic<int> fault_ordinal_{0};
   std::atomic<std::int64_t> memory_used_{0};

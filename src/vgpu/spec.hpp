@@ -4,7 +4,7 @@
 // matter to the engine: sustained Smith-Waterman throughput (GCUPS, used
 // for static load balancing and by the performance model), PCIe transfer
 // characteristics (used by the model for border-chunk timing), and the
-// SM count (used to size the virtual device's worker pool).
+// SM count (the model's dispatch width: blocks needed to saturate it).
 //
 // The per-GPU GCUPS figures are approximations of the sustained single-
 // GPU CUDAlign rates of the era's cards, chosen so that the heterogeneous

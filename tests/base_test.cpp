@@ -11,7 +11,6 @@
 #include "base/math.hpp"
 #include "base/queue.hpp"
 #include "base/rng.hpp"
-#include "base/thread_pool.hpp"
 #include "base/time.hpp"
 
 namespace mgpusw {
@@ -335,34 +334,6 @@ TEST(QueueTest, ManyProducersManyConsumers) {
 
 TEST(QueueTest, ZeroCapacityRejected) {
   EXPECT_THROW(base::BoundedQueue<int>(0), InvalidArgument);
-}
-
-// ---------------------------------------------------------------------------
-// ThreadPool
-
-TEST(ThreadPoolTest, ExecutesAllTasks) {
-  base::ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitIdleOnEmptyPool) {
-  base::ThreadPool pool(1);
-  pool.wait_idle();  // must not hang
-}
-
-TEST(ThreadPoolTest, SubmitAfterShutdownThrows) {
-  base::ThreadPool pool(1);
-  pool.shutdown();
-  EXPECT_THROW(pool.submit([] {}), Error);
-}
-
-TEST(ThreadPoolTest, ZeroThreadsRejected) {
-  EXPECT_THROW(base::ThreadPool(0), InvalidArgument);
 }
 
 // ---------------------------------------------------------------------------

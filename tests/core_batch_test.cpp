@@ -27,7 +27,6 @@ using core::BatchItem;
 using core::BatchResult;
 using core::DeviceFleet;
 using core::EngineConfig;
-using core::Schedule;
 using core::Transport;
 
 std::vector<BatchItem> test_items() {
@@ -71,40 +70,36 @@ TEST(BatchPropertyTest, ConcurrentMatchesSequential) {
     }
     for (const Transport transport :
          {Transport::kInProcess, Transport::kTcp}) {
-      for (const Schedule schedule :
-           {Schedule::kRowMajor, Schedule::kDiagonal}) {
-        EngineConfig engine = small_config();
-        engine.transport = transport;
-        engine.schedule = schedule;
+      EngineConfig engine = small_config();
+      engine.transport = transport;
 
-        DeviceFleet sequential_fleet = DeviceFleet::from_specs(specs);
-        BatchConfig sequential;
-        sequential.engine = engine;
-        sequential.devices_per_item = 0;  // whole fleet per item
-        sequential.max_in_flight = 1;
-        const BatchResult baseline =
-            run_batch(sequential, sequential_fleet, items);
+      DeviceFleet sequential_fleet = DeviceFleet::from_specs(specs);
+      BatchConfig sequential;
+      sequential.engine = engine;
+      sequential.devices_per_item = 0;  // whole fleet per item
+      sequential.max_in_flight = 1;
+      const BatchResult baseline =
+          run_batch(sequential, sequential_fleet, items);
 
-        // Concurrent: one device per item, everything in flight at once.
-        DeviceFleet concurrent_fleet = DeviceFleet::from_specs(specs);
-        BatchConfig concurrent;
-        concurrent.engine = engine;
-        concurrent.devices_per_item = 1;
-        concurrent.max_in_flight = 4;
-        const BatchResult narrow =
-            run_batch(concurrent, concurrent_fleet, items);
-        expect_identical(narrow, baseline);
+      // Concurrent: one device per item, everything in flight at once.
+      DeviceFleet concurrent_fleet = DeviceFleet::from_specs(specs);
+      BatchConfig concurrent;
+      concurrent.engine = engine;
+      concurrent.devices_per_item = 1;
+      concurrent.max_in_flight = 4;
+      const BatchResult narrow =
+          run_batch(concurrent, concurrent_fleet, items);
+      expect_identical(narrow, baseline);
 
-        if (device_count >= 2) {
-          // Concurrent with multi-device leases.
-          DeviceFleet wide_fleet = DeviceFleet::from_specs(specs);
-          BatchConfig wide;
-          wide.engine = engine;
-          wide.devices_per_item = 2;
-          wide.max_in_flight = 2;
-          const BatchResult paired = run_batch(wide, wide_fleet, items);
-          expect_identical(paired, baseline);
-        }
+      if (device_count >= 2) {
+        // Concurrent with multi-device leases.
+        DeviceFleet wide_fleet = DeviceFleet::from_specs(specs);
+        BatchConfig wide;
+        wide.engine = engine;
+        wide.devices_per_item = 2;
+        wide.max_in_flight = 2;
+        const BatchResult paired = run_batch(wide, wide_fleet, items);
+        expect_identical(paired, baseline);
       }
     }
   }

@@ -178,42 +178,6 @@ INSTANTIATE_TEST_SUITE_P(
             MultiDeviceCase{5, 16, 16, 1}),  // deep pipeline, tight buffer
         ::testing::Range(0, 4)));
 
-// Both block schedules must produce identical results; kDiagonal also
-// exercises the device worker pool (blocks of one diagonal run
-// concurrently).
-class ScheduleProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(ScheduleProperty, DiagonalEqualsRowMajorEqualsLinear) {
-  const int seed = GetParam();
-  auto [a, b] = testutil::related_pair(
-      280 + seed * 23, static_cast<std::uint64_t>(seed) + 900);
-  DeviceFleet fleet(3, 8.0, 4.0);
-  EngineConfig config = small_config();
-  const auto expected = linear_score(config.scheme, a, b);
-
-  config.schedule = core::Schedule::kRowMajor;
-  MultiDeviceEngine row_major(config, fleet.pointers());
-  EXPECT_EQ(row_major.run(a, b).best, expected);
-
-  config.schedule = core::Schedule::kDiagonal;
-  MultiDeviceEngine diagonal(config, fleet.pointers());
-  EXPECT_EQ(diagonal.run(a, b).best, expected);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ScheduleProperty, ::testing::Range(0, 5));
-
-TEST(EngineTest, DiagonalScheduleWithWorkerPool) {
-  // Multi-threaded device workers: blocks of one diagonal in parallel.
-  auto device = std::make_unique<vgpu::Device>(
-      vgpu::toy_device(10.0), vgpu::DeviceOptions{.worker_threads = 3});
-  EngineConfig config = small_config();
-  config.schedule = core::Schedule::kDiagonal;
-  MultiDeviceEngine engine(config, {device.get()});
-  auto [a, b] = testutil::related_pair(400, 31);
-  EXPECT_EQ(engine.run(a, b).best, linear_score(config.scheme, a, b));
-  EXPECT_GT(device->kernels_launched(), 0);
-}
-
 TEST(EngineTest, EqualBalanceMatchesToo) {
   DeviceFleet fleet(3);
   EngineConfig config = small_config();
@@ -344,8 +308,6 @@ TEST(EngineFuzzTest, RandomConfigurationsAreExact) {
     config.block_rows = rng.next_range(1, 96);
     config.block_cols = rng.next_range(1, 96);
     config.buffer_capacity = rng.next_range(1, 8);
-    config.schedule = rng.next_bool(0.5) ? core::Schedule::kRowMajor
-                                         : core::Schedule::kDiagonal;
     const auto& registry = sw::kernel_registry();
     config.kernel = registry[rng.next_below(registry.size())].name;
     config.balance = rng.next_bool(0.5) ? BalanceMode::kDeviceRate
@@ -461,7 +423,7 @@ TEST(EngineKernelTest, RejectsUnknownPerDeviceKernel) {
 }
 
 // ---------------------------------------------------------------------------
-// failure propagation: an error inside one device's worker must surface
+// failure propagation: an error on one device's host thread must surface
 // as an exception from run() without hanging the other devices.
 
 TEST(EngineFailureTest, DeviceOutOfMemoryPropagates) {
@@ -702,7 +664,7 @@ TEST(BalanceTest, ThrottledDeviceMeasuresSlower) {
 
 // A sequence of runs on the same devices whose split changes from run to
 // run — windows warming, throttles restarting them, measured rates
-// drifting — stays exact whatever the kernel, schedule and transport.
+// drifting — stays exact whatever the kernel and transport.
 TEST(EngineRateSplitTest, RandomRunSequenceStaysExact) {
   base::Rng rng(20261019);
   DeviceFleet fleet(3, 10.0, 7.0);
@@ -725,8 +687,6 @@ TEST(EngineRateSplitTest, RandomRunSequenceStaysExact) {
     }
     EngineConfig config = small_config();
     config.kernel = kernels[rng.next_below(kernels.size())];
-    config.schedule = rng.next_bool(0.5) ? core::Schedule::kRowMajor
-                                         : core::Schedule::kDiagonal;
     if (rng.next_bool(0.5)) {
       config.transport = Transport::kTcp;
       config.comm_timeout_ms = 5000;

@@ -149,23 +149,6 @@ TEST(ProgressTest, RowMajorEmitsPerBlockRow) {
   EXPECT_EQ(final_per_device[1], 10);
 }
 
-TEST(ProgressTest, DiagonalEmitsPerDiagonal) {
-  vgpu::Device device(vgpu::toy_device(10.0));
-  EngineConfig config = small_config();
-  config.schedule = core::Schedule::kDiagonal;
-  std::atomic<int> count{0};
-  std::int64_t last_total = 0;
-  config.progress = [&](const core::ProgressEvent& event) {
-    count.fetch_add(1);
-    last_total = event.total_units;
-  };
-  core::MultiDeviceEngine engine(config, {&device});
-  auto [a, b] = testutil::related_pair(320, 10);
-  (void)engine.run(a, b);
-  EXPECT_EQ(count.load(), static_cast<int>(last_total));
-  EXPECT_GT(last_total, 0);
-}
-
 // ---------------------------------------------------------------------------
 // disk-spilled special rows
 

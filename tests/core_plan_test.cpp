@@ -19,7 +19,6 @@ namespace {
 using core::AlignmentPlan;
 using core::make_plan;
 using core::PlanRequest;
-using core::Schedule;
 
 PlanRequest basic_request() {
   PlanRequest request;
@@ -66,19 +65,8 @@ TEST(PlanTest, KernelResolution) {
 }
 
 TEST(PlanTest, ScheduleUnits) {
-  PlanRequest request = basic_request();
-  const AlignmentPlan row_major = make_plan(request);
-  for (std::size_t d = 0; d < row_major.device_count(); ++d) {
-    EXPECT_EQ(row_major.schedule_units(d), row_major.block_row_count);
-  }
-
-  request.schedule = Schedule::kDiagonal;
-  const AlignmentPlan diagonal = make_plan(request);
-  for (std::size_t d = 0; d < diagonal.device_count(); ++d) {
-    EXPECT_EQ(diagonal.schedule_units(d),
-              diagonal.block_row_count +
-                  diagonal.devices[d].block_columns - 1);
-  }
+  const AlignmentPlan plan = make_plan(basic_request());
+  EXPECT_EQ(plan.schedule_units(), plan.block_row_count);
 }
 
 TEST(PlanTest, ResumeStartRow) {
@@ -86,7 +74,7 @@ TEST(PlanTest, ResumeStartRow) {
   request.start_block_row = 10;
   const AlignmentPlan plan = make_plan(request);
   EXPECT_EQ(plan.start_block_row, 10);
-  EXPECT_EQ(plan.schedule_units(0), plan.block_row_count - 10);
+  EXPECT_EQ(plan.schedule_units(), plan.block_row_count - 10);
 }
 
 TEST(PlanTest, RejectsBadRequests) {

@@ -164,14 +164,12 @@ TEST(RebalanceControllerTest, ResumedRunsMeasureProgressFromBaseline) {
 // ---------------------------------------------------------------------------
 // End to end: a deliberately mis-split run stops, re-splits with the
 // measured rates, and the recovered result is bit-identical — across
-// kernels x schedules (the acceptance matrix).
+// kernels (the acceptance matrix).
 
-EngineConfig misbalanced_config(const std::string& kernel,
-                                core::Schedule schedule) {
+EngineConfig misbalanced_config(const std::string& kernel) {
   EngineConfig config;
   config.block_rows = 32;
   config.block_cols = 32;
-  config.schedule = schedule;
   config.kernel = kernel;
   // The mis-calibration: a 4:1 split over two equal-speed devices.
   config.balance = core::BalanceMode::kCustomWeights;
@@ -183,14 +181,11 @@ EngineConfig misbalanced_config(const std::string& kernel,
   return config;
 }
 
-class RebalanceMatrix
-    : public ::testing::TestWithParam<
-          std::tuple<std::string, core::Schedule>> {};
+class RebalanceMatrix : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(RebalanceMatrix, MisSplitRebalancesBitIdentically) {
-  const auto& [kernel, schedule] = GetParam();
   auto [a, b] = testutil::related_pair(512, 301);
-  EngineConfig config = misbalanced_config(kernel, schedule);
+  EngineConfig config = misbalanced_config(GetParam());
 
   vgpu::Device d0(vgpu::toy_device(10.0));
   vgpu::Device d1(vgpu::toy_device(10.0));
@@ -216,18 +211,9 @@ TEST_P(RebalanceMatrix, MisSplitRebalancesBitIdentically) {
   EXPECT_GT(rebalanced.rebalanced_weights[1], 0.25);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    KernelsAndSchedules, RebalanceMatrix,
-    ::testing::Combine(::testing::Values("simd", "row"),
-                       ::testing::Values(core::Schedule::kRowMajor,
-                                         core::Schedule::kDiagonal)),
-    [](const auto& info) {
-      return std::get<0>(info.param) +
-             std::string(std::get<1>(info.param) ==
-                                 core::Schedule::kRowMajor
-                             ? "RowMajor"
-                             : "Diagonal");
-    });
+INSTANTIATE_TEST_SUITE_P(Kernels, RebalanceMatrix,
+                         ::testing::Values("simd", "row"),
+                         [](const auto& info) { return info.param; });
 
 // ---------------------------------------------------------------------------
 // A device throttled mid-run (thermal throttling, a noisy co-tenant):
@@ -328,7 +314,7 @@ TEST(RebalanceE2ETest, BalancedRunNeverRestarts) {
 
 TEST(RebalanceE2ETest, ProgressEventsCarryBusyAndRebalanceCounts) {
   auto [a, b] = testutil::related_pair(512, 305);
-  EngineConfig config = misbalanced_config("simd", core::Schedule::kRowMajor);
+  EngineConfig config = misbalanced_config("simd");
   std::atomic<std::int64_t> max_busy{0};
   std::atomic<int> max_rebalances{0};
   config.progress = [&](const ProgressEvent& event) {

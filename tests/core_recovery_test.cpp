@@ -41,13 +41,11 @@ using core::run_with_recovery;
 using vgpu::FaultInjector;
 using vgpu::parse_fault_plan;
 
-EngineConfig small_blocks(core::Transport transport,
-                          core::Schedule schedule) {
+EngineConfig small_blocks(core::Transport transport) {
   EngineConfig config;
   config.block_rows = 32;
   config.block_cols = 32;
   config.transport = transport;
-  config.schedule = schedule;
   if (transport == core::Transport::kTcp) config.comm_timeout_ms = 5000;
   return config;
 }
@@ -63,16 +61,13 @@ struct Pool3 {
 // ---------------------------------------------------------------------------
 // Headline: injected mid-run device death on a 3-device heterogeneous
 // pool completes on the surviving 2 and is bit-identical to an unfailed
-// run — for both transports and both schedules.
+// run — for both transports.
 
-class RecoveryMatrix
-    : public ::testing::TestWithParam<
-          std::tuple<core::Transport, core::Schedule>> {};
+class RecoveryMatrix : public ::testing::TestWithParam<core::Transport> {};
 
 TEST_P(RecoveryMatrix, DeviceDeathRecoversBitIdentically) {
-  const auto& [transport, schedule] = GetParam();
   auto [a, b] = testutil::related_pair(320, 201);
-  EngineConfig config = small_blocks(transport, schedule);
+  EngineConfig config = small_blocks(GetParam());
 
   Pool3 pool;
   MultiDeviceEngine reference(config, pool.all());
@@ -97,19 +92,11 @@ TEST_P(RecoveryMatrix, DeviceDeathRecoversBitIdentically) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    TransportsAndSchedules, RecoveryMatrix,
-    ::testing::Combine(::testing::Values(core::Transport::kInProcess,
-                                         core::Transport::kTcp),
-                       ::testing::Values(core::Schedule::kRowMajor,
-                                         core::Schedule::kDiagonal)),
+    Transports, RecoveryMatrix,
+    ::testing::Values(core::Transport::kInProcess, core::Transport::kTcp),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param) ==
-                                 core::Transport::kInProcess
-                             ? "Ring"
-                             : "Tcp") +
-             (std::get<1>(info.param) == core::Schedule::kRowMajor
-                  ? "RowMajor"
-                  : "Diagonal");
+      return std::string(info.param == core::Transport::kInProcess ? "Ring"
+                                                                   : "Tcp");
     });
 
 // A restart after a device death meets checkpoint rows the dead device
@@ -118,8 +105,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(RecoveryTest, SkippedCheckpointRowsStayOffStderr) {
   auto [a, b] = testutil::related_pair(320, 206);
   const auto recover = [&a, &b] {
-    EngineConfig config = small_blocks(core::Transport::kInProcess,
-                                       core::Schedule::kRowMajor);
+    EngineConfig config = small_blocks(core::Transport::kInProcess);
     Pool3 pool;
     FaultInjector injector(parse_fault_plan("dev1:die@kernel=12"));
     config.fault = &injector;
@@ -151,7 +137,7 @@ TEST(RecoveryTest, SkippedCheckpointRowsStayOffStderr) {
 TEST(RecoveryTest, DroppedBorderChunkIsRetried) {
   auto [a, b] = testutil::related_pair(320, 202);
   EngineConfig config =
-      small_blocks(core::Transport::kInProcess, core::Schedule::kRowMajor);
+      small_blocks(core::Transport::kInProcess);
   vgpu::Device d0(vgpu::toy_device(10.0));
   vgpu::Device d1(vgpu::toy_device(14.0));
 
@@ -173,7 +159,7 @@ TEST(RecoveryTest, DroppedBorderChunkIsRetried) {
 TEST(RecoveryTest, CorruptedChunkIsDetectedAndRetried) {
   auto [a, b] = testutil::related_pair(320, 203);
   EngineConfig config =
-      small_blocks(core::Transport::kInProcess, core::Schedule::kRowMajor);
+      small_blocks(core::Transport::kInProcess);
   vgpu::Device d0(vgpu::toy_device(10.0));
   vgpu::Device d1(vgpu::toy_device(14.0));
 
@@ -191,7 +177,7 @@ TEST(RecoveryTest, CorruptedChunkIsDetectedAndRetried) {
 TEST(RecoveryTest, TransientKernelFailureIsRetried) {
   auto [a, b] = testutil::related_pair(288, 204);
   EngineConfig config =
-      small_blocks(core::Transport::kInProcess, core::Schedule::kDiagonal);
+      small_blocks(core::Transport::kInProcess);
   vgpu::Device device(vgpu::toy_device(12.0));
 
   MultiDeviceEngine reference(config, {&device});
@@ -209,7 +195,7 @@ TEST(RecoveryTest, TransientKernelFailureIsRetried) {
 TEST(RecoveryTest, AllocationDeathRemovesTheDevice) {
   auto [a, b] = testutil::related_pair(288, 205);
   EngineConfig config =
-      small_blocks(core::Transport::kInProcess, core::Schedule::kRowMajor);
+      small_blocks(core::Transport::kInProcess);
   vgpu::Device d0(vgpu::toy_device(10.0));
   vgpu::Device d1(vgpu::toy_device(14.0));
 
@@ -233,7 +219,7 @@ TEST(RecoveryTest, AllocationDeathRemovesTheDevice) {
 TEST(RecoveryTest, ExhaustedPolicyThrowsStructuredError) {
   auto [a, b] = testutil::related_pair(288, 206);
   EngineConfig config =
-      small_blocks(core::Transport::kInProcess, core::Schedule::kRowMajor);
+      small_blocks(core::Transport::kInProcess);
   vgpu::Device device(vgpu::toy_device(12.0));
 
   // One-shot transient fault but zero restarts allowed.
@@ -254,7 +240,7 @@ TEST(RecoveryTest, ExhaustedPolicyThrowsStructuredError) {
 TEST(RecoveryTest, NoSurvivingDevicesThrowsExhausted) {
   auto [a, b] = testutil::related_pair(288, 207);
   EngineConfig config =
-      small_blocks(core::Transport::kInProcess, core::Schedule::kRowMajor);
+      small_blocks(core::Transport::kInProcess);
   vgpu::Device device(vgpu::toy_device(12.0));
 
   FaultInjector injector(parse_fault_plan("dev0:die@kernel=0"));
@@ -266,7 +252,7 @@ TEST(RecoveryTest, NoSurvivingDevicesThrowsExhausted) {
 TEST(RecoveryTest, FatalErrorsPassThroughUnchanged) {
   auto [a, b] = testutil::related_pair(288, 208);
   EngineConfig config =
-      small_blocks(core::Transport::kInProcess, core::Schedule::kRowMajor);
+      small_blocks(core::Transport::kInProcess);
   config.kernel = "no-such-kernel";
   vgpu::Device device(vgpu::toy_device(12.0));
   EXPECT_THROW((void)run_with_recovery(config, {&device}, a, b),
@@ -276,7 +262,7 @@ TEST(RecoveryTest, FatalErrorsPassThroughUnchanged) {
 TEST(RecoveryTest, ProgressEventsCarryRestartCounts) {
   auto [a, b] = testutil::related_pair(288, 209);
   EngineConfig config =
-      small_blocks(core::Transport::kInProcess, core::Schedule::kRowMajor);
+      small_blocks(core::Transport::kInProcess);
   vgpu::Device device(vgpu::toy_device(12.0));
   std::atomic<int> max_restarts_seen{-1};
   config.progress = [&](const core::ProgressEvent& event) {
@@ -333,7 +319,7 @@ TEST(BatchRecoveryTest, BatchSurvivesDeviceDeathOnDegradedPool) {
   items.push_back({"second", a1, b1});
 
   EngineConfig engine_config =
-      small_blocks(core::Transport::kInProcess, core::Schedule::kRowMajor);
+      small_blocks(core::Transport::kInProcess);
 
   // Unfailed reference scores.
   std::vector<sw::ScoreResult> expected;
@@ -381,7 +367,7 @@ TEST(RecoveryTest, ResumeSpecFromDiskCheckpointIsBitIdentical) {
   Pool3 pool;
 
   EngineConfig reference_config =
-      small_blocks(core::Transport::kInProcess, core::Schedule::kRowMajor);
+      small_blocks(core::Transport::kInProcess);
   MultiDeviceEngine reference(reference_config, pool.all());
   const auto expected = reference.run(a, b);
 

@@ -145,41 +145,19 @@ TEST(ResumeTest, RejectsRowsSavedWithoutF) {
   EXPECT_THROW((void)engine.resume(a, b, store, 63), InternalError);
 }
 
-TEST(ResumeTest, DiagonalScheduleResumesIdentically) {
-  auto [a, b] = testutil::related_pair(320, 145);
-  vgpu::Device d0(vgpu::toy_device(10.0));
-  vgpu::Device d1(vgpu::toy_device(14.0));
-  SpecialRowStore store;
-  EngineConfig config = checkpointing_config(&store);
-  config.schedule = core::Schedule::kDiagonal;
-  MultiDeviceEngine engine(config, {&d0, &d1});
-  const auto full = engine.run(a, b);
-
-  for (const std::int64_t row : store.rows()) {
-    if (row + 1 >= a.size()) continue;
-    const auto resumed = engine.resume(a, b, store, row);
-    sw::ScoreResult combined = prefix_best(a, b, row);
-    if (sw::improves(resumed.best, combined)) combined = resumed.best;
-    EXPECT_EQ(combined, full.best) << "diagonal resume from row " << row;
-  }
-}
-
-// Every registered kernel × both schedules: a resumed run must merge to
-// the same best as the uninterrupted run, bit for bit. Covers the
-// scalar, SSE4.2 and AVX2 SIMD backends wherever the host can run them.
-class ResumeKernelSweep
-    : public ::testing::TestWithParam<
-          std::tuple<std::string, core::Schedule>> {};
+// Every registered kernel: a resumed run must merge to the same best as
+// the uninterrupted run, bit for bit. Covers the scalar, SSE4.2 and AVX2
+// SIMD backends wherever the host can run them.
+class ResumeKernelSweep : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ResumeKernelSweep, ResumeMatchesFullRunBitExactly) {
-  const auto& [kernel, schedule] = GetParam();
+  const std::string& kernel = GetParam();
   auto [a, b] = testutil::related_pair(288, 146);
   vgpu::Device d0(vgpu::toy_device(10.0));
   vgpu::Device d1(vgpu::toy_device(17.0));
   SpecialRowStore store;
   EngineConfig config = checkpointing_config(&store);
   config.kernel = kernel;
-  config.schedule = schedule;
   MultiDeviceEngine engine(config, {&d0, &d1});
   const auto full = engine.run(a, b);
   EXPECT_EQ(full.best, sw::linear_score(sw::ScoreScheme{}, a, b));
@@ -192,10 +170,7 @@ TEST_P(ResumeKernelSweep, ResumeMatchesFullRunBitExactly) {
     sw::ScoreResult combined = prefix_best(a, b, row);
     if (sw::improves(resumed.best, combined)) combined = resumed.best;
     EXPECT_EQ(combined, full.best)
-        << "kernel " << kernel << ", schedule "
-        << (schedule == core::Schedule::kRowMajor ? "row-major"
-                                                  : "diagonal")
-        << ", resume from row " << row;
+        << "kernel " << kernel << ", resume from row " << row;
   }
 }
 
@@ -208,18 +183,13 @@ std::vector<std::string> registered_kernel_names() {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    KernelsAndSchedules, ResumeKernelSweep,
-    ::testing::Combine(::testing::ValuesIn(registered_kernel_names()),
-                       ::testing::Values(core::Schedule::kRowMajor,
-                                         core::Schedule::kDiagonal)),
-    [](const auto& info) {
-      std::string name = std::get<0>(info.param);
+    Kernels, ResumeKernelSweep,
+    ::testing::ValuesIn(registered_kernel_names()), [](const auto& info) {
+      std::string name = info.param;
       for (char& c : name) {
         if (c == '-') c = '_';
       }
-      return name + (std::get<1>(info.param) == core::Schedule::kRowMajor
-                         ? "_rowmajor"
-                         : "_diagonal");
+      return name;
     });
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Cross-feature integration tests: combinations of transport, kernel,
-// schedule, pruning, checkpointing and the retrieval pipeline that the
-// per-feature suites exercise only in isolation.
+// pruning, checkpointing and the retrieval pipeline that the per-feature
+// suites exercise only in isolation.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -104,12 +104,11 @@ TEST(IntegrationTest, PipelineOverTcpWithAntidiagKernel) {
   }
 }
 
-TEST(IntegrationTest, BatchWithProgressAndDiagonalSchedule) {
+TEST(IntegrationTest, BatchWithProgress) {
   Fleet fleet(2);
   EngineConfig config;
   config.block_rows = 32;
   config.block_cols = 32;
-  config.schedule = core::Schedule::kDiagonal;
   std::atomic<std::int64_t> events{0};
   config.progress = [&](const core::ProgressEvent&) { events.fetch_add(1); };
 

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <thread>
 #include <vector>
 
 #include "base/error.hpp"
 #include "base/time.hpp"
+#include "core/fleet.hpp"
 #include "vgpu/device.hpp"
 #include "vgpu/spec.hpp"
 
@@ -47,16 +49,6 @@ TEST(SpecTest, SpecByName) {
 
 // ---------------------------------------------------------------------------
 // device runtime
-
-TEST(DeviceTest, ExecutesTasks) {
-  vgpu::Device device(vgpu::toy_device(1.0));
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 20; ++i) {
-    device.execute([&counter] { counter.fetch_add(1); });
-  }
-  device.synchronize();
-  EXPECT_EQ(counter.load(), 20);
-}
 
 TEST(DeviceTest, KernelAccounting) {
   vgpu::Device device(vgpu::toy_device(1.0));
@@ -167,10 +159,24 @@ TEST(DeviceTest, MoveBufferTransfersOwnership) {
   EXPECT_EQ(device.memory_used(), 0);
 }
 
-TEST(DeviceTest, WorkerCountDefaultsCapped) {
-  vgpu::Device device(vgpu::gtx_580(), {.worker_threads = 0});
-  EXPECT_GE(device.worker_count(), 1);
-  EXPECT_LE(device.worker_count(), 16);
+/// OS threads of this process: the entries of /proc/self/task.
+std::size_t os_thread_count() {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++count;
+  }
+  return count;
+}
+
+// A device starts no thread of its own: the engine's per-device thread runs
+// its kernels inline, so a fleet costs no thread until a run starts.
+TEST(DeviceTest, FleetOfEightAddsNoThread) {
+  const std::size_t before = os_thread_count();
+  const core::DeviceFleet fleet = core::DeviceFleet::from_specs(
+      std::vector<vgpu::DeviceSpec>(8, vgpu::toy_device(10.0)));
+  ASSERT_EQ(fleet.size(), 8u);
+  EXPECT_EQ(os_thread_count(), before);
 }
 
 }  // namespace
