@@ -8,10 +8,11 @@
 //
 // After the google-benchmark run, a summary pass times each kernel on a
 // large square block, on the engine's 128x128 block and on the 128-row
-// tiles the row-major engine computes per block row of a device's slice,
-// prints per-kernel GCUPS tables with the speedup over the scalar `row`
-// reference, and records the run in a JSON file (--kernels_json=PATH,
-// default BENCH_kernels.json; empty disables).
+// tiles the row-major engine computes per block row of a device's slice
+// (also with the high-score wedge a homolog alignment leaves on such a
+// row's top border), prints per-kernel GCUPS tables with the speedup
+// over a reference kernel, and records the run in a JSON file
+// (--kernels_json=PATH, default BENCH_kernels.json; empty disables).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -50,22 +51,27 @@ std::vector<seq::Nt> random_bases(std::int64_t length, std::uint64_t seed) {
 }
 
 /// Reusable rows x cols block harness; borders are reset per run because
-/// the kernel overwrites them in place.
+/// the kernel overwrites them in place. The top border's H values are
+/// `top_h` (all zero when empty).
 class BlockHarness {
  public:
   explicit BlockHarness(std::int64_t tile) : BlockHarness(tile, tile) {}
-  BlockHarness(std::int64_t rows, std::int64_t cols)
+  BlockHarness(std::int64_t rows, std::int64_t cols,
+               std::vector<sw::Score> top_h = {})
       : rows_(rows),
         cols_(cols),
         query_(random_bases(rows, 1)),
         subject_(random_bases(cols, 2)),
+        top_h_(top_h.empty() ? std::vector<sw::Score>(
+                                   static_cast<std::size_t>(cols), 0)
+                             : std::move(top_h)),
         row_h_(static_cast<std::size_t>(cols)),
         row_f_(static_cast<std::size_t>(cols)),
         col_h_(static_cast<std::size_t>(rows)),
         col_e_(static_cast<std::size_t>(rows)) {}
 
   sw::BlockResult run(sw::BlockKernelFn fn, const sw::ScoreScheme& scheme) {
-    std::fill(row_h_.begin(), row_h_.end(), 0);
+    std::copy(top_h_.begin(), top_h_.end(), row_h_.begin());
     std::fill(row_f_.begin(), row_f_.end(), sw::kNegInf);
     std::fill(col_h_.begin(), col_h_.end(), 0);
     std::fill(col_e_.begin(), col_e_.end(), sw::kNegInf);
@@ -88,6 +94,7 @@ class BlockHarness {
  private:
   std::int64_t rows_, cols_;
   std::vector<seq::Nt> query_, subject_;
+  std::vector<sw::Score> top_h_;
   std::vector<sw::Score> row_h_, row_f_, col_h_, col_e_;
 };
 
@@ -240,19 +247,49 @@ std::vector<KernelRate> round_robin_rates(const std::vector<NamedRun>& runs,
   return rates;
 }
 
-/// Every registered kernel on one rows x cols block.
-std::vector<KernelRate> measure_block_rates(std::int64_t rows,
-                                            std::int64_t cols, int reps) {
-  BlockHarness harness(rows, cols);
+/// The named kernels on one rows x cols block whose top border's H
+/// values are `top_h` (all zero when empty).
+std::vector<KernelRate> measure_block_rates(
+    const std::vector<std::string>& kernels, std::int64_t rows,
+    std::int64_t cols, int reps, std::vector<sw::Score> top_h = {}) {
+  BlockHarness harness(rows, cols, std::move(top_h));
   const sw::ScoreScheme scheme;
   std::vector<NamedRun> runs;
-  for (const sw::KernelInfo& info : sw::kernel_registry()) {
-    runs.emplace_back(info.name, [&harness, &scheme, fn = info.fn] {
+  for (const std::string& name : kernels) {
+    runs.emplace_back(name, [&harness, &scheme, fn = sw::find_kernel(name)] {
       benchmark::DoNotOptimize(harness.run(fn, scheme));
     });
   }
   return round_robin_rates(runs, rows * cols, /*warmup=*/2, reps,
                            /*min_rep_seconds=*/0.02);
+}
+
+/// Every registered kernel on one rows x cols block.
+std::vector<KernelRate> measure_block_rates(std::int64_t rows,
+                                            std::int64_t cols, int reps) {
+  std::vector<std::string> kernels;
+  for (const sw::KernelInfo& info : sw::kernel_registry()) {
+    kernels.push_back(info.name);
+  }
+  return measure_block_rates(kernels, rows, cols, reps);
+}
+
+/// The top border of one block row behind a homolog alignment, the
+/// shape of chromosome_compare's chr21/1024 slices: H is 0 left of the
+/// point where the alignment crossed the row (a quarter in) and decays
+/// from there by the gap extension per column, staying above int8 over
+/// half the width.
+std::vector<sw::Score> wedge_top_border(std::int64_t cols,
+                                        const sw::ScoreScheme& scheme) {
+  const std::int64_t peak_col = cols / 4;
+  const sw::Score peak =
+      127 + scheme.gap_extend * static_cast<sw::Score>(cols / 2);
+  std::vector<sw::Score> top_h(static_cast<std::size_t>(cols), 0);
+  for (std::int64_t c = peak_col; c < cols; ++c) {
+    top_h[static_cast<std::size_t>(c)] = std::max<sw::Score>(
+        0, peak - scheme.gap_extend * static_cast<sw::Score>(c - peak_col));
+  }
+  return top_h;
 }
 
 /// Megabase-shaped workload: one block-row strip swept left to right in
@@ -355,18 +392,32 @@ struct BatchHarness {
   }
 };
 
+/// Each timed run aligns the next `slice_pairs` pairs of the batch
+/// (every kernel walks the same slices in the same order), so a
+/// repetition lasts milliseconds rather than a whole half-gigacell batch
+/// and a slow spell on a shared host spoils few of the many repetitions.
 std::vector<KernelRate> measure_batch_rates(const BatchHarness& harness,
+                                            std::int64_t slice_pairs,
                                             int reps) {
   const sw::ScoreScheme scheme;
+  const auto pairs = static_cast<std::int64_t>(harness.views.size());
+  slice_pairs = std::min(slice_pairs, pairs);
+  std::vector<std::vector<sw::PairView>> slices;
+  for (std::int64_t p = 0; p + slice_pairs <= pairs; p += slice_pairs) {
+    slices.emplace_back(harness.views.begin() + p,
+                        harness.views.begin() + p + slice_pairs);
+  }
   std::vector<NamedRun> runs;
   for (const std::string& name : sw::batch_kernel_names()) {
-    runs.emplace_back(name, [&harness, &scheme, name] {
+    runs.emplace_back(name, [&slices, &scheme, name, next = std::size_t{0}]()
+                                mutable {
       benchmark::DoNotOptimize(
-          sw::batch_align_scores(scheme, harness.views, name));
+          sw::batch_align_scores(scheme, slices[next], name));
+      next = (next + 1) % slices.size();
     });
   }
-  return round_robin_rates(runs, harness.total_cells, /*warmup=*/1, reps,
-                           /*min_rep_seconds=*/0.0);
+  return round_robin_rates(runs, harness.total_cells / pairs * slice_pairs,
+                           /*warmup=*/1, reps, /*min_rep_seconds=*/0.02);
 }
 
 double rate_of(const std::vector<KernelRate>& rates,
@@ -428,8 +479,10 @@ struct SummaryShape {
   std::int64_t mega_tile_cols = 65536;
   std::int64_t batch_pairs = 2048;
   std::int64_t batch_pair_len = 512;
-  /// Block-table repetitions; the half-gigacell megabase and batch
-  /// sections cap at 3. Min-of-N needs generous N on shared machines.
+  /// Pairs per timed batch run: 64 pairs of 512 bases are 17 Mcells.
+  std::int64_t batch_slice_pairs = 64;
+  /// Block-table and batch repetitions; the half-gigacell megabase
+  /// section caps at 3. Min-of-N needs generous N on shared machines.
   int reps = 9;
 };
 
@@ -468,6 +521,20 @@ void run_kernel_summary(const std::string& json_path,
                      rates, "row");
   }
 
+  // Section 3b: the widest of those rows with the high-score wedge a
+  // homolog alignment leaves on its top border, where "auto" splits the
+  // row into int8 and int16 column runs, simd8 re-runs the whole row at
+  // int16, and simd16 runs all of it at int16.
+  const std::int64_t wedge_cols = std::end(shape.engine_row_cols)[-1];
+  const std::vector<KernelRate> wedge_rates = measure_block_rates(
+      {"auto", "simd8", "simd16"}, shape.engine_tile, wedge_cols, shape.reps,
+      wedge_top_border(wedge_cols, sw::ScoreScheme{}));
+  print_rate_table("Per-kernel GCUPS, " + std::to_string(shape.engine_tile) +
+                       "x" + base::with_thousands(wedge_cols) +
+                       " tile behind a homolog alignment (top border above "
+                       "int8 over half the width)",
+                   wedge_rates, "simd16");
+
   // Section 4: megabase strip sweep — the dispatched kernels only (the
   // pinned backend variants add nothing at this scale and each pass
   // covers half a gigacell).
@@ -488,10 +555,12 @@ void run_kernel_summary(const std::string& json_path,
   // the same batch costs without inter-sequence packing.
   BatchHarness batch(shape.batch_pairs, shape.batch_pair_len);
   const std::vector<KernelRate> batch_rates =
-      measure_batch_rates(batch, std::min(shape.reps, 3));
+      measure_batch_rates(batch, shape.batch_slice_pairs, 2 * shape.reps);
   print_rate_table("Short-pair batch GCUPS, " +
                        std::to_string(shape.batch_pairs) + " pairs of " +
-                       std::to_string(shape.batch_pair_len) + " bases",
+                       std::to_string(shape.batch_pair_len) + " bases, " +
+                       std::to_string(shape.batch_slice_pairs) +
+                       " pairs per timed run",
                    batch_rates, "scalar");
 
   if (json_path.empty()) return;
@@ -520,6 +589,11 @@ void run_kernel_summary(const std::string& json_path,
   }
   w.end_array();
   w.end_object();
+  w.key("engine_row_wedge").begin_object();
+  w.key("rows").value(shape.engine_tile);
+  w.key("cols").value(wedge_cols);
+  append_rate_section(w, wedge_rates, "simd16");
+  w.end_object();
   w.key("megabase").begin_object();
   w.key("rows").value(shape.mega_rows);
   w.key("cols").value(shape.mega_cols);
@@ -529,6 +603,7 @@ void run_kernel_summary(const std::string& json_path,
   w.key("batch").begin_object();
   w.key("pairs").value(shape.batch_pairs);
   w.key("pair_len").value(shape.batch_pair_len);
+  w.key("slice_pairs").value(shape.batch_slice_pairs);
   append_rate_section(w, batch_rates, "scalar");
   w.end_object();
   w.end_object();

@@ -82,12 +82,6 @@ struct AlignmentPlan {
     return devices.empty() ? 0 : devices.size() - 1;
   }
 
-  /// Scheduling units every device steps through: the block rows left
-  /// below start_block_row.
-  [[nodiscard]] std::int64_t schedule_units() const {
-    return block_row_count - start_block_row;
-  }
-
   bool operator==(const AlignmentPlan&) const = default;
 };
 

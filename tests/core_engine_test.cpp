@@ -927,5 +927,67 @@ TEST(EngineFusedRowTest, RandomDrawsMatchLinearAndPerBlockPath) {
   }
 }
 
+// Homolog pairs whose slices are wider than sw::kAutoSplitCols: "auto"
+// splits each fused block row into column runs, int16 on the high-score
+// wedge behind the alignment and int8 elsewhere, chained through the
+// run borders. Each draw must equal the linear scan and leave the same
+// footprint as the per-block path.
+TEST(EngineFusedRowTest, WideSlicesMixPrecisionRunsAndMatchLinear) {
+  base::Rng rng(20261019);
+  for (int trial = 0; trial < 5; ++trial) {
+    EngineConfig config;
+    config.scheme = rng.next_bool(0.5) ? sw::ScoreScheme{2, -1, 1, 1}
+                                       : sw::ScoreScheme{};
+    config.block_rows = rng.next_bool(0.5) ? 128 : rng.next_range(24, 140);
+    config.block_cols = 128;
+    config.buffer_capacity = rng.next_range(1, 6);
+    config.kernel = "auto";
+    config.balance = BalanceMode::kEqual;
+    if (rng.next_bool(0.5)) {
+      config.special_row_interval = rng.next_range(1, 3);
+      config.checkpoint_f = true;
+    }
+    const auto device_count = static_cast<int>(rng.next_range(1, 3));
+    DeviceFleet fleet(device_count, 10.0, rng.next_double() * 10.0);
+    const std::int64_t length =
+        device_count * (sw::kAutoSplitCols + rng.next_range(300, 1200));
+    const auto [a, b] = testutil::related_pair(
+        length, rng.next_u64(), 0.04 + 0.08 * rng.next_double());
+    const sw::ScoreResult expected = linear_score(config.scheme, a, b);
+    SCOPED_TRACE("trial " + std::to_string(trial) + ": " +
+                 std::to_string(device_count) + " devices, " +
+                 std::to_string(a.size()) + "x" + std::to_string(b.size()) +
+                 ", block rows " + std::to_string(config.block_rows));
+    // The wedge holds H values far above int8.
+    EXPECT_GT(expected.score, 4 * 127);
+
+    core::SpecialRowStore fused_store;
+    core::SpecialRowStore block_store;
+    EngineConfig per_block = config;
+    per_block.enable_pruning = true;
+    const RunFootprint fused =
+        run_footprint(config, fleet.pointers(), a, b, fused_store);
+    const RunFootprint blockwise =
+        run_footprint(per_block, fleet.pointers(), a, b, block_store);
+    EXPECT_EQ(fused.best, expected);
+    EXPECT_EQ(blockwise.best.score, expected.score);
+    EXPECT_EQ(fused.blocks, blockwise.blocks);
+    EXPECT_EQ(fused.segments_saved, blockwise.segments_saved);
+    EXPECT_EQ(fused.special_rows, blockwise.special_rows);
+
+    EngineConfig planning;
+    planning.block_rows = config.block_rows;
+    planning.block_cols = config.block_cols;
+    planning.balance = BalanceMode::kEqual;
+    const core::AlignmentPlan plan =
+        MultiDeviceEngine(planning, fleet.pointers())
+            .plan(static_cast<std::int64_t>(a.size()),
+                  static_cast<std::int64_t>(b.size()));
+    for (const core::SlicePlan& slice : plan.devices) {
+      EXPECT_GT(slice.slice.cols, sw::kAutoSplitCols);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace mgpusw
