@@ -156,11 +156,12 @@ int main(int argc, char** argv) {
       // Vary the lengths a little so lane groups see realistic padding.
       const std::int64_t len = short_len + (k % 7) * (short_len / 16 + 1);
       const seq::Sequence ancestor = seq::generate_chromosome(
-          "s" + std::to_string(k), len, 0x5EED0000ULL + k);
+          std::string("s") + std::to_string(k), len, 0x5EED0000ULL + k);
       shorts.push_back(core::BatchItem{
-          "short-" + std::to_string(k), ancestor,
+          std::string("short-") + std::to_string(k), ancestor,
           seq::mutate_homolog(ancestor, seq::MutationModel{},
-                              0xAB0000ULL + k, "t" + std::to_string(k))});
+                              0xAB0000ULL + k,
+                              std::string("t") + std::to_string(k))});
     }
 
     core::BatchConfig engine_path = sequential;

@@ -25,7 +25,7 @@ struct RealMode {
   std::string name;
   core::EngineResult run;
   int rebalances = 0;
-  std::vector<double> weights;
+  std::vector<double> weights{};
 };
 
 void write_rebalance_json(const std::string& path, std::int64_t scale,

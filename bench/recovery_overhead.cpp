@@ -22,7 +22,7 @@ struct ModeResult {
   std::string name;
   core::EngineResult run;
   int restarts = 0;
-  std::vector<std::string> lost_devices;
+  std::vector<std::string> lost_devices{};
 };
 
 void write_recovery_json(const std::string& path, std::int64_t scale,

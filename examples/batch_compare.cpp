@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
         item.label,
         base::with_thousands(item.result.matrix_cells),
         std::to_string(item.result.best.score),
-        "(" + std::to_string(item.result.best.end.row) + ", " +
+        std::string("(") + std::to_string(item.result.best.end.row) + ", " +
             std::to_string(item.result.best.end.col) + ")",
         base::human_duration(item.result.wall_seconds),
         base::format_double(item.result.gcups(), 3),

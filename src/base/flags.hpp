@@ -57,7 +57,7 @@ class FlagSet {
     std::string help;
     std::string value;  // textual representation, parsed on get
     std::string default_value;
-    std::vector<std::string> choices;  // kChoice only
+    std::vector<std::string> choices{};  // kChoice only
   };
 
   const Flag& find(const std::string& name, Kind kind) const;

@@ -46,10 +46,10 @@ struct BatchItem {
   SpecialRowStore* checkpoints = nullptr;
   /// Where the item resumes from (row = -1: from scratch). Only
   /// meaningful with `checkpoints`, which must contain the row.
-  ResumeSpec resume;
+  ResumeSpec resume{};
   /// Forwarded to run_with_recovery: fires before each in-process
   /// restart with the crash-resumable (row, carried best) pair.
-  RestartHook on_restart;
+  RestartHook on_restart{};
 };
 
 struct BatchItemResult {

@@ -21,8 +21,9 @@ namespace mgpusw::sw {
 
 namespace {
 
-/// Largest lane count any backend runs (AVX2 int8); sizes group scratch.
-constexpr int kMaxLanes = 32;
+/// Largest lane count any backend runs (AVX-512 int8); sizes group
+/// scratch, and run_tier refuses a table that exceeds it.
+constexpr int kMaxLanes = 64;
 constexpr int kI16Max = 32767;
 constexpr int kI8Max = 127;
 
@@ -66,6 +67,7 @@ void run_tier(SimdBackend::BatchGroupFn fn, int lanes,
               const std::vector<std::size_t>& pending,
               std::vector<ScoreResult>& results,
               std::vector<std::size_t>& next, BatchStats& stats) {
+  MGPUSW_CHECK(lanes > 0 && lanes <= kMaxLanes);
   PairView group[kMaxLanes];
   ScoreResult out[kMaxLanes];
   bool overflow[kMaxLanes];

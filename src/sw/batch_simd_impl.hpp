@@ -124,8 +124,8 @@ void batch_group_lp(const ScoreScheme& scheme, const PairView* pairs,
     std::int64_t seg_base = 0;
 
     const auto fold_segment = [&](std::int64_t next_base) {
-      alignas(32) Elem seg_h[kL];
-      alignas(32) Elem seg_j[kL];
+      alignas(64) Elem seg_h[kL];
+      alignas(64) Elem seg_j[kL];
       W::store(seg_h, vseg_h);
       W::store(seg_j, vseg_j);
       for (int l = 0; l < kL; ++l) {
@@ -160,7 +160,7 @@ void batch_group_lp(const ScoreScheme& scheme, const PairView* pairs,
       W::store(h_row + j * kL, vh);
       W::store(f_row + j * kL, vf);
 
-      const Vec vgt = W::cmpgt(vh, vseg_h);
+      const typename W::Mask vgt = W::cmpgt(vh, vseg_h);
       vseg_h = W::blend(vseg_h, vh, vgt);
       vseg_j = W::blend(vseg_j, vjoff, vgt);
       vjoff = W::adds(vjoff, v_one);

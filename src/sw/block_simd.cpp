@@ -1,6 +1,6 @@
 // Runtime dispatcher and precision-ladder entry points.
 //
-// The three backend TUs each compiled block_simd_lp_impl.hpp with
+// The four backend TUs each compiled block_simd_lp_impl.hpp with
 // different -m flags and export one SimdBackend table; this TU (compiled
 // with the portable baseline flags only) checks the CPU once, keeps the
 // tables whose code the running CPU can execute, and routes every
@@ -19,21 +19,33 @@ namespace {
 /// every other architecture reports scalar.
 SimdIsa cpu_isa() {
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+  if (__builtin_cpu_supports("avx512bw") &&
+      __builtin_cpu_supports("avx512dq") &&
+      __builtin_cpu_supports("avx512vl") &&
+      __builtin_cpu_supports("avx512vbmi")) {
+    return SimdIsa::kAvx512;
+  }
   if (__builtin_cpu_supports("avx2")) return SimdIsa::kAvx2;
   if (__builtin_cpu_supports("sse4.2")) return SimdIsa::kSse42;
 #endif
   return SimdIsa::kScalar;
 }
 
-/// Optional cap from the MGPUSW_SIMD environment variable.
+/// Optional cap from the MGPUSW_SIMD environment variable: the weaker
+/// of the detected level and the named one.
 SimdIsa apply_env_cap(SimdIsa isa) {
   const char* cap = std::getenv("MGPUSW_SIMD");
   if (cap == nullptr) return isa;
-  if (std::strcmp(cap, "scalar") == 0) return SimdIsa::kScalar;
-  if (std::strcmp(cap, "sse4.2") == 0 || std::strcmp(cap, "sse42") == 0) {
-    return isa < SimdIsa::kSse42 ? isa : SimdIsa::kSse42;
+  SimdIsa limit = isa;  // "avx512" or unrecognised: no cap below detection
+  if (std::strcmp(cap, "scalar") == 0) {
+    limit = SimdIsa::kScalar;
+  } else if (std::strcmp(cap, "sse4.2") == 0 ||
+             std::strcmp(cap, "sse42") == 0) {
+    limit = SimdIsa::kSse42;
+  } else if (std::strcmp(cap, "avx2") == 0) {
+    limit = SimdIsa::kAvx2;
   }
-  return isa;  // "avx2" or unrecognised: no cap below detection
+  return std::min(isa, limit);
 }
 
 }  // namespace
@@ -45,6 +57,7 @@ SimdIsa detected_simd_isa() {
 
 const char* simd_isa_name(SimdIsa isa) {
   switch (isa) {
+    case SimdIsa::kAvx512: return "avx512";
     case SimdIsa::kAvx2: return "avx2";
     case SimdIsa::kSse42: return "sse4.2";
     case SimdIsa::kScalar: return "scalar";
@@ -58,9 +71,9 @@ const std::vector<const SimdBackend*>& runnable_simd_backends() {
   // reaches is always safe to call.
   static const std::vector<const SimdBackend*> backends = [] {
     std::vector<const SimdBackend*> runnable;
-    for (const SimdBackend* backend : {&simd_avx2::kBackend,
-                                       &simd_sse42::kBackend,
-                                       &simd_scalar::kBackend}) {
+    for (const SimdBackend* backend :
+         {&simd_avx512::kBackend, &simd_avx2::kBackend,
+          &simd_sse42::kBackend, &simd_scalar::kBackend}) {
       if (backend->isa <= detected_simd_isa()) runnable.push_back(backend);
     }
     return runnable;

@@ -5,9 +5,9 @@
 // contract, same best cell and tie-breaking, same border_max) but updates
 // one intra-block anti-diagonal of a strip per vector step. The kernel
 // source (block_simd_lp_impl.hpp) is one template over a lane width —
-// int32, int16 or int8 — compiled three times against the sw/simd_lp.hpp
-// traits: AVX2, SSE4.2 and scalar translation units, each with its own -m
-// flags. A cpuid check picks the strongest backend the running CPU
+// int32, int16 or int8 — compiled four times against the sw/simd_lp.hpp
+// traits: AVX-512, AVX2, SSE4.2 and scalar translation units, each with
+// its own -m flags. A cpuid check picks the strongest backend the running CPU
 // supports, so one portable binary never executes an instruction the
 // host lacks.
 //
@@ -50,9 +50,10 @@
 // merge in traversal order, and the cross-row reduction walks lanes
 // ascending — the same order compute_block resolves ties in.
 //
-// The MGPUSW_SIMD environment variable ("avx2", "sse4.2", "scalar")
-// caps the dispatch below the detected level — useful for ablation runs
-// and for exercising the fallback paths on capable hardware.
+// The MGPUSW_SIMD environment variable ("avx512", "avx2", "sse4.2",
+// "scalar") caps the dispatch at the named level or the detected one,
+// whichever is weaker — useful for ablation runs and for exercising the
+// fallback paths on capable hardware.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +66,7 @@ namespace mgpusw::sw {
 struct PairView;
 
 /// ISA levels the dispatcher distinguishes, weakest first.
-enum class SimdIsa { kScalar = 0, kSse42 = 1, kAvx2 = 2 };
+enum class SimdIsa { kScalar = 0, kSse42 = 1, kAvx2 = 2, kAvx512 = 3 };
 
 /// The lane widths a ladder can be entered at (the registry's "simd",
 /// "simd16" and "simd8").
@@ -104,7 +105,7 @@ BlockResult compute_block_auto(const ScoreScheme& scheme,
 /// MGPUSW_SIMD cap). kScalar on non-x86 hosts.
 [[nodiscard]] SimdIsa detected_simd_isa();
 
-/// "avx2", "sse4.2" or "scalar".
+/// "avx512", "avx2", "sse4.2" or "scalar".
 [[nodiscard]] const char* simd_isa_name(SimdIsa isa);
 
 /// One backend translation unit's entry points. Pinned: the narrow
@@ -115,8 +116,9 @@ struct SimdBackend {
   SimdIsa isa;
   /// Suffix of the pinned registry names ("simd-avx2", ...).
   const char* tag;
-  /// What the TU was actually compiled to: "avx2", "sse4.2", or
-  /// "scalar" (a vector TU built on a non-x86 host degrades to scalar).
+  /// What the TU was actually compiled to: "avx512", "avx2", "sse4.2",
+  /// or "scalar" (a vector TU built on a non-x86 host degrades to
+  /// scalar).
   const char* compiled;
   /// The ladder entered at each width, indexed by SimdWidth.
   BlockKernelFn ladder[kSimdWidths];
@@ -137,11 +139,15 @@ struct SimdBackend {
 /// The backend the dispatched entries run: runnable_simd_backends()[0].
 [[nodiscard]] const SimdBackend& dispatched_simd_backend();
 
-/// Name of what the dispatched backend was compiled to ("avx2",
-/// "sse4.2" or "scalar").
+/// Name of what the dispatched backend was compiled to ("avx512",
+/// "avx2", "sse4.2" or "scalar").
 [[nodiscard]] const char* active_simd_backend();
 
-// The per-backend tables, one per TU (block_simd_{avx2,sse42,scalar}.cpp).
+// The per-backend tables, one per TU
+// (block_simd_{avx512,avx2,sse42,scalar}.cpp).
+namespace simd_avx512 {
+extern const SimdBackend kBackend;
+}  // namespace simd_avx512
 namespace simd_avx2 {
 extern const SimdBackend kBackend;
 }  // namespace simd_avx2

@@ -1,8 +1,9 @@
 // SIMD block kernel — templated over a lane-width trait from
 // sw/simd_lp.hpp (LpI32: int32, the exact rung; LpI16: int16; LpI8:
 // int8) and instantiated once per backend TU
-// (block_simd_{avx2,sse42,scalar}.cpp), which define MGPUSW_SIMD_NS; the
-// TU's compile flags decide which backend the code runs on.
+// (block_simd_{avx512,avx2,sse42,scalar}.cpp), which define
+// MGPUSW_SIMD_NS; the TU's compile flags decide which backend the code
+// runs on.
 //
 // Traversal: horizontal strips of kL = W::kLanes query rows, skewed so
 // that at step t lane r holds cell (i0 + r, t - r) — all kL cells sit on
@@ -17,8 +18,8 @@
 // step of the strip — the triangular fill (t < kL), the rectangular
 // steady state and the triangular drain (t >= cols-1) — runs kL cells
 // per iteration. Lane r is active while 0 <= t-r < cols; the fill and
-// drain steps carry that as a lane mask (lane 0 is active while
-// t < cols, lane r follows lane r-1 one step later). A lane that has not
+// drain steps carry that as a W::Mask (lane 0 is active while t < cols,
+// lane r follows lane r-1 one step later). A lane that has not
 // started yet holds its left-border (H, E), so at t == r it reads
 // exactly its j == 0 inputs, and lane r+1's j == 0 diagonal is lane r's
 // held H; a retired lane holds its j == cols-1 values, so the strip's
@@ -59,7 +60,10 @@
 // Rows too few for one strip — a short block, or the rows below a
 // block's last strip — run one rung wider (int8 -> int16 -> int32), and
 // the exact rung's own remainder goes to compute_block, the parity
-// oracle, so every geometry stays exact.
+// oracle, so every geometry stays exact. On AVX-512 they run the AVX2
+// ladder at the same width instead (kShortRowsOnAvx2): its strips are
+// half as tall, so a read's last block row stays on int8 down to 32
+// rows, where one rung wider would leave it to compute_block below 16.
 #pragma once
 
 #include <algorithm>
@@ -69,6 +73,7 @@
 
 #include "base/error.hpp"
 #include "sw/block.hpp"
+#include "sw/block_simd.hpp"
 #include "sw/simd_lp.hpp"
 
 namespace mgpusw::sw::MGPUSW_SIMD_NS {
@@ -123,14 +128,6 @@ bool scheme_fits(const ScoreScheme& scheme) {
          scheme.gap_first() <= cap && scheme.gap_extend <= cap;
 }
 
-/// Lane-mask shift-in sources: lane 0 is active (all-ones) or retired.
-/// Four elements each, because shift_in may read 4 bytes at its source;
-/// kLaneOff doubles as the zero the edge steps feed a retired lane 0.
-template <class W>
-inline constexpr typename W::Elem kLaneOn[4] = {-1, -1, -1, -1};
-template <class W>
-inline constexpr typename W::Elem kLaneOff[4] = {0, 0, 0, 0};
-
 /// One full strip of W::kLanes rows, every step on the vector path.
 /// Returns false when a narrow strip's maximum H reached the saturation
 /// watermark (results may be inexact — escalate); the exact rung always
@@ -153,7 +150,7 @@ bool process_strip(const ScoreScheme& scheme, const BlockArgs& args,
 
   // Left border and query codes captured before the strip's right border
   // overwrites the (possibly aliased) left/right arrays.
-  alignas(32) Elem lanes[kL];
+  alignas(64) Elem lanes[kL];
   for (int r = 0; r < kL; ++r) {
     lanes[r] = static_cast<Elem>(args.query[i0 + r]);
   }
@@ -178,7 +175,7 @@ bool process_strip(const ScoreScheme& scheme, const BlockArgs& args,
   Vec vf_prev = v_zero;
   alignas(4) const Elem corner[4] = {strip_diag0, 0, 0, 0};
   Vec vdiag_carry = W::shift_in(v_left_h, corner);
-  Vec vactive = v_zero;
+  typename W::Mask vactive{};
 
   // Full-width per-lane best accumulators; segments fold into these in
   // traversal order, so strict '>' keeps the smallest column per lane.
@@ -196,8 +193,8 @@ bool process_strip(const ScoreScheme& scheme, const BlockArgs& args,
   std::int64_t seg_base = 0;
 
   const auto fold_segment = [&](std::int64_t next_base) {
-    alignas(32) Elem seg_h[kL];
-    alignas(32) Elem seg_t[kL];
+    alignas(64) Elem seg_h[kL];
+    alignas(64) Elem seg_t[kL];
     W::store(seg_h, vseg_h);
     W::store(seg_t, vseg_t);
     for (int r = 0; r < kL; ++r) {
@@ -224,10 +221,9 @@ bool process_strip(const ScoreScheme& scheme, const BlockArgs& args,
     // and its inputs are never used, so the edge steps feed it a zero
     // instead of loading past the row.
     const bool lane0_in_row = !kEdge || t < cols;
-    const Vec vup_h =
-        W::shift_in(vh_prev, lane0_in_row ? row_h + t : kLaneOff<W>);
-    const Vec vup_f =
-        W::shift_in(vf_prev, lane0_in_row ? row_f + t : kLaneOff<W>);
+    const Elem* const zero = lp_detail::kLaneOff<Elem>;
+    const Vec vup_h = W::shift_in(vh_prev, lane0_in_row ? row_h + t : zero);
+    const Vec vup_f = W::shift_in(vf_prev, lane0_in_row ? row_f + t : zero);
     Vec ve = W::max(W::subs(ve_prev, v_gap_ext),
                     W::subs(vh_prev, v_gap_first));
     const Vec vf =
@@ -242,7 +238,7 @@ bool process_strip(const ScoreScheme& scheme, const BlockArgs& args,
 
     Vec vh_seen = vh;
     if constexpr (kEdge) {
-      vactive = W::shift_in(vactive, lane0_in_row ? kLaneOn<W> : kLaneOff<W>);
+      vactive = W::shift_in_mask(vactive, lane0_in_row);
       vh_seen = W::blend(v_below, vh, vactive);
       vh = W::blend(vh_prev, vh, vactive);
       ve = W::blend(ve_prev, ve, vactive);
@@ -250,14 +246,14 @@ bool process_strip(const ScoreScheme& scheme, const BlockArgs& args,
     // The last lane writes its cell back to the rolling row once it has
     // started (it never retires before the strip's last step).
     if (!kEdge || t >= kL - 1) {
-      row_h[t - (kL - 1)] = W::extract_last(vh);
-      row_f[t - (kL - 1)] = W::extract_last(vf);
+      W::store_last(row_h + (t - (kL - 1)), vh);
+      W::store_last(row_f + (t - (kL - 1)), vf);
     }
 
     // The compare must read the pre-update vseg_h, so it runs first; the
     // running max itself is a plain max — one uop against a blend's
     // two, and no mask operand for the compiler to renormalize.
-    const Vec vgt = W::cmpgt(vh_seen, vseg_h);
+    const typename W::Mask vgt = W::cmpgt(vh_seen, vseg_h);
     vseg_h = W::max(vseg_h, vh_seen);
     vseg_t = W::blend(vseg_t, vtoff, vgt);
     vtoff = W::adds(vtoff, v_one);
@@ -374,11 +370,21 @@ bool convert_borders(const BlockArgs& args, std::int64_t strip_rows,
 template <class W>
 BlockResult run_ladder(const ScoreScheme& scheme, const BlockArgs& args);
 
-/// Rows too few for one strip of W's lanes: one rung wider, and below
-/// the exact rung the scalar row kernel.
+/// W's index in SimdBackend::ladder.
+template <class W>
+inline constexpr int kWidthIndex = static_cast<int>(
+    W::kExact                       ? SimdWidth::kI32
+    : std::is_same_v<W, LpI16>      ? SimdWidth::kI16
+                                    : SimdWidth::kI8);
+
+/// Rows too few for one strip of W's lanes: the AVX2 ladder at W's width
+/// on AVX-512; elsewhere one rung wider, and below the exact rung the
+/// scalar row kernel.
 template <class W>
 BlockResult compute_short(const ScoreScheme& scheme, const BlockArgs& args) {
-  if constexpr (W::kExact) {
+  if constexpr (kShortRowsOnAvx2) {
+    return simd_avx2::kBackend.ladder[kWidthIndex<W>](scheme, args);
+  } else if constexpr (W::kExact) {
     return compute_block(scheme, args);
   } else {
     return run_ladder<Wider<W>>(scheme, args);
@@ -477,7 +483,7 @@ BlockResult compute_block_lp(const ScoreScheme& scheme,
   }
 
   // Remainder rows (< kL): a sub-block whose top border is the rolling
-  // row, one rung wider.
+  // row, on compute_short's ladder.
   int reruns = 0;
   if (i0 < args.rows) {
     BlockArgs sub = args;

@@ -24,7 +24,7 @@
 //                fill and drain included, on the vector path)
 //   simd-<isa> / simd16-<isa> / simd8-<isa>
 //                the three ladders pinned per backend, <isa> one of
-//                avx2, sse42, scalar — built by one loop over
+//                avx512, avx2, sse42, scalar — built by one loop over
 //                (backend x width), registered only for backends the
 //                running CPU can execute (ablation + parity testing);
 //                the scalar ones are always present, the guaranteed

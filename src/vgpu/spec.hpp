@@ -31,7 +31,7 @@ struct DeviceSpec {
   /// Empty means "use the engine's configured default" — the knob that
   /// lets a heterogeneous setup pair each device with the traversal that
   /// suits it.
-  std::string kernel;
+  std::string kernel{};
 
   bool operator==(const DeviceSpec&) const = default;
 };

@@ -817,7 +817,7 @@ TEST(EngineFusedRowTest, RandomDrawsMatchLinearAndPerBlockPath) {
     auto [a, b] = testutil::related_pair(rows, rng.next_u64());
     if (self) {
       b = a.subsequence(0, cols);
-    } else if (b.size() < static_cast<std::size_t>(cols)) {
+    } else if (b.size() < cols) {
       b = testutil::random_sequence(cols, rng.next_u64(), "B");
     } else {
       b = b.subsequence(0, cols);
@@ -881,14 +881,13 @@ TEST(EngineFusedRowTest, RandomDrawsMatchLinearAndPerBlockPath) {
                                   ? 1.0
                                   : device->spec().sw_gcups);
     }
+    EngineConfig plan_config;
+    plan_config.block_rows = config.block_rows;
+    plan_config.block_cols = config.block_cols;
+    plan_config.balance = BalanceMode::kCustomWeights;
+    plan_config.custom_weights = split_weights;
     const core::AlignmentPlan plan =
-        MultiDeviceEngine(
-            EngineConfig{.block_rows = config.block_rows,
-                         .block_cols = config.block_cols,
-                         .balance = BalanceMode::kCustomWeights,
-                         .custom_weights = split_weights},
-            fleet.pointers())
-            .plan(rows, cols);
+        MultiDeviceEngine(plan_config, fleet.pointers()).plan(rows, cols);
     std::vector<int> wide;
     for (int d = 0; d < device_count; ++d) {
       if (plan.devices[static_cast<std::size_t>(d)].block_columns > 1) {

@@ -146,8 +146,8 @@ TEST(ResumeTest, RejectsRowsSavedWithoutF) {
 }
 
 // Every registered kernel: a resumed run must merge to the same best as
-// the uninterrupted run, bit for bit. Covers the scalar, SSE4.2 and AVX2
-// SIMD backends wherever the host can run them.
+// the uninterrupted run, bit for bit. Covers the scalar, SSE4.2, AVX2
+// and AVX-512 SIMD backends wherever the host can run them.
 class ResumeKernelSweep : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ResumeKernelSweep, ResumeMatchesFullRunBitExactly) {

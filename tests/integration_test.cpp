@@ -116,7 +116,8 @@ TEST(IntegrationTest, BatchWithProgress) {
   for (int k = 0; k < 2; ++k) {
     auto [a, b] = testutil::related_pair(
         220 + k * 30, static_cast<std::uint64_t>(k) + 203);
-    items.push_back(core::BatchItem{"p" + std::to_string(k), a, b});
+    items.push_back(
+        core::BatchItem{std::string("p") + std::to_string(k), a, b});
   }
   core::DeviceFleet devices(fleet.pointers);
   core::BatchConfig batch_config;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "base/error.hpp"
 #include "base/rng.hpp"
 #include "sw/batch_simd.hpp"
+#include "sw/block_simd.hpp"
 #include "sw/linear.hpp"
 #include "tests/test_util.hpp"
 
@@ -125,6 +127,46 @@ TEST(BatchSimdParity, RelatedPairsWithLongMatchRuns) {
     const std::vector<ScoreResult> got = sw::batch_align_scores(
         ScoreScheme{2, -1, 1, 1}, set.views, kernel, nullptr);
     expect_matches_reference(ScoreScheme{2, -1, 1, 1}, set, got, kernel);
+  }
+}
+
+TEST(BatchSimdParity, EveryRunnableBackendsGroupKernelsMatchReference) {
+  // batch_align_scores runs the dispatched backend's group kernels only;
+  // this calls every runnable backend's int8 and int16 kernels directly
+  // (64/32 lanes on AVX-512, 32/16 on AVX2), on a full group and on a
+  // partial one whose idle lanes are all padding.
+  PairSet set;
+  base::Rng rng(64);
+  for (int k = 0; k < 64; ++k) {
+    set.add(random_codes(rng.next_range(0, 90), rng.next_u64()),
+            random_codes(rng.next_range(0, 90), rng.next_u64()));
+  }
+  set.finish();
+  const ScoreScheme scheme{};
+  for (const sw::SimdBackend* backend : sw::runnable_simd_backends()) {
+    const std::pair<sw::SimdBackend::BatchGroupFn, int> kernels[] = {
+        {backend->batch_i8, backend->batch_i8_lanes},
+        {backend->batch_i16, backend->batch_i16_lanes}};
+    for (const auto& [fn, lanes] : kernels) {
+      ASSERT_LE(lanes, static_cast<int>(set.views.size())) << backend->tag;
+      for (const int n : {lanes, lanes / 2 + 1}) {
+        std::vector<ScoreResult> out(static_cast<std::size_t>(n));
+        const auto overflow = std::make_unique<bool[]>(out.size());
+        fn(scheme, set.views.data(), n, out.data(), overflow.get());
+        for (int k = 0; k < n; ++k) {
+          const std::string label = std::string(backend->tag) + " lanes " +
+                                    std::to_string(lanes) + " n " +
+                                    std::to_string(n) + " pair " +
+                                    std::to_string(k);
+          const auto idx = static_cast<std::size_t>(k);
+          EXPECT_FALSE(overflow[idx]) << label;
+          EXPECT_EQ(out[idx], sw::linear_score_unpacked(
+                                  scheme, set.codes[2 * idx],
+                                  set.codes[2 * idx + 1]))
+              << label;
+        }
+      }
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -553,7 +554,8 @@ TEST(AutoColumnRunsTest, WideTilesMatchRowScan) {
       expect_same(autos, scan,
                   draw + (aliased ? " (aliased)" : " (separate)"));
       // H passes int8 inside a low run only where whole int8 strips run
-      // (at least 32 rows for every backend's int8 lane count), and the
+      // (from 32 rows on every vector backend: AVX-512 runs fewer than
+      // its 64 rows on the 32-lane AVX2 int8 ladder), and the
       // run pays a re-run for it. A tile up to the split width is one
       // run, which its bands send to int16; from twice that width the
       // bands end granules before the diagonal's.
@@ -614,6 +616,170 @@ TEST(AutoColumnRunsTest, BorderMaxSkipsInteriorRunColumns) {
     EXPECT_LT(scan.result.border_max, 100);
     expect_same(run_kernel(&sw::compute_block_auto, scheme, in, aliased),
                 scan, aliased ? "aliased" : "separate");
+  }
+}
+
+// --- the AVX-512 backend ----------------------------------------------
+//
+// The pinned simd-avx512 / simd16-avx512 / simd8-avx512 ladders run 16,
+// 32 and 64 lanes per strip. The sweeps above reach them through the
+// registry at the engine's shapes; these add the geometries only the
+// wider strips have: remainder rows below 64/32/16, which run on the
+// AVX2 ladder at the same width, tiles narrower than one strip, the
+// escalation from int8 to int32 on strips of 64 rows, and a split auto
+// tile. Each test skips on a CPU that cannot run the backend.
+
+/// The AVX-512 table when this CPU can run it (and the MGPUSW_SIMD cap
+/// allows it), else null.
+const sw::SimdBackend* runnable_avx512() {
+  for (const sw::SimdBackend* backend : sw::runnable_simd_backends()) {
+    if (backend == &sw::simd_avx512::kBackend) return backend;
+  }
+  return nullptr;
+}
+
+/// Random bases under patterned borders, every ladder of `backend`
+/// against the row scan, aliased and into separate arrays.
+void expect_backend_matches_row_scan(const sw::SimdBackend& backend,
+                                     int rows, int cols, int seed) {
+  const ScoreScheme scheme = testutil::test_schemes()[
+      static_cast<std::size_t>(seed) % testutil::test_schemes().size()];
+  base::Rng rng(static_cast<std::uint64_t>(seed) * 131 + 17);
+  std::vector<Nt> query(static_cast<std::size_t>(rows));
+  std::vector<Nt> subject(static_cast<std::size_t>(cols));
+  for (auto& nt : query) nt = static_cast<Nt>(rng.next_below(4));
+  for (auto& nt : subject) nt = static_cast<Nt>(rng.next_below(4));
+  const BlockInput in = patterned_input(query, subject, 5);
+  for (const bool aliased : {true, false}) {
+    const KernelIo scan = run_kernel(&sw::compute_block, scheme, in, aliased);
+    for (int w = 0; w < sw::kSimdWidths; ++w) {
+      expect_same(run_kernel(backend.ladder[w], scheme, in, aliased), scan,
+                  std::string(backend.tag) + " width " + std::to_string(w) +
+                      " " + std::to_string(rows) + "x" +
+                      std::to_string(cols) +
+                      (aliased ? " (aliased)" : " (separate)"));
+    }
+  }
+}
+
+TEST(Avx512BackendTest, RemainderRowsMatchRowScan) {
+  // Rows below one strip of each width (16, 32, 64 lanes), on either
+  // side of the AVX2 strips those rows fall to (8, 16, 32 lanes), and
+  // whole strips followed by every such remainder.
+  const sw::SimdBackend* avx512 = runnable_avx512();
+  if (avx512 == nullptr) GTEST_SKIP() << "CPU cannot run the avx512 backend";
+  int seed = 0;
+  for (const int rows : {1, 7, 8, 15, 16, 17, 31, 32, 33, 47, 63, 64, 65,
+                         72, 79, 80, 95, 96, 97, 127, 128, 129, 191}) {
+    for (const int cols : {1, 17, 64, 129, 300}) {
+      expect_backend_matches_row_scan(*avx512, rows, cols, seed++);
+    }
+  }
+}
+
+TEST(Avx512BackendTest, TilesNarrowerThanAStripMatchRowScan) {
+  // Fewer columns than lanes: the fill and drain triangles overlap and
+  // no step runs every lane; then widths around 2 and 4 strips.
+  const sw::SimdBackend* avx512 = runnable_avx512();
+  if (avx512 == nullptr) GTEST_SKIP() << "CPU cannot run the avx512 backend";
+  int seed = 0;
+  for (const int rows : {64, 128, 130}) {
+    for (const int cols : {1, 2, 3, 15, 16, 31, 33, 63, 65, 127, 128, 255,
+                           256, 257}) {
+      expect_backend_matches_row_scan(*avx512, rows, cols, seed++);
+    }
+  }
+}
+
+TEST(Avx512BackendTest, EscalationStaysOnTheAvx512Ladder) {
+  // The overflow rigs of KernelOverflowTest on blocks of whole 64-row
+  // strips: each rung that fails re-runs one rung wider on AVX-512, so
+  // the pinned ladders count the same re-runs as the dispatched ones.
+  const sw::SimdBackend* avx512 = runnable_avx512();
+  if (avx512 == nullptr) GTEST_SKIP() << "CPU cannot run the avx512 backend";
+  const auto i16 = static_cast<int>(sw::SimdWidth::kI16);
+  const auto i8 = static_cast<int>(sw::SimdWidth::kI8);
+  struct Case {
+    ScoreScheme scheme;
+    Score border_base;
+    int reruns16, reruns8;
+  };
+  const Case cases[] = {
+      {ScoreScheme{25, -2, 2, 1}, 0, 0, 1},      // int8 saturates
+      {ScoreScheme{8000, -3, 3, 2}, 0, 1, 2},    // int16 saturates
+      {ScoreScheme{2, -1, 1, 1}, 200, 0, 1},     // int8 pre-check
+      {ScoreScheme{2, -1, 1, 1}, 50000, 1, 2}};  // int16 pre-check
+  for (const Case& c : cases) {
+    for (const int cols : {128, 300}) {
+      const auto [query, subject] = perfect_match_pair(128, cols);
+      const BlockInput in =
+          patterned_input(query, subject, c.border_base + 3, c.border_base);
+      const KernelIo scan = run_kernel(&sw::compute_block, c.scheme, in);
+      const KernelIo r16 = run_kernel(avx512->ladder[i16], c.scheme, in);
+      const KernelIo r8 = run_kernel(avx512->ladder[i8], c.scheme, in);
+      const std::string label = "match " + std::to_string(c.scheme.match) +
+                                " base " + std::to_string(c.border_base) +
+                                " cols " + std::to_string(cols);
+      expect_same(r16, scan, "simd16-avx512 " + label);
+      expect_same(r8, scan, "simd8-avx512 " + label);
+      EXPECT_EQ(r16.result.overflow_reruns, c.reruns16) << label;
+      EXPECT_EQ(r8.result.overflow_reruns, c.reruns8) << label;
+    }
+  }
+}
+
+TEST(Avx512BackendTest, ShortBlocksRunTheAvx2LadderAtTheSameWidth) {
+  // 40 rows are too few for a 64-row int8 strip. On the AVX2 int8 ladder
+  // they fill one 32-row strip, which saturates under match = 25 and
+  // re-runs at int16 (one re-run); a block sent one rung wider instead
+  // would start at int16 and count none.
+  const sw::SimdBackend* avx512 = runnable_avx512();
+  if (avx512 == nullptr) GTEST_SKIP() << "CPU cannot run the avx512 backend";
+  const auto i8 = static_cast<int>(sw::SimdWidth::kI8);
+  const ScoreScheme scheme{25, -2, 2, 1};
+  const auto [query, subject] = perfect_match_pair(40, 128);
+  const BlockInput in = patterned_input(query, subject, 3, 0);
+  const KernelIo scan = run_kernel(&sw::compute_block, scheme, in);
+  const KernelIo got = run_kernel(avx512->ladder[i8], scheme, in);
+  expect_same(got, scan, "simd8-avx512 40x128");
+  EXPECT_EQ(got.result.overflow_reruns,
+            run_kernel(sw::simd_avx2::kBackend.ladder[i8], scheme, in)
+                .result.overflow_reruns);
+  EXPECT_EQ(got.result.overflow_reruns, 1);
+}
+
+TEST(Avx512BackendTest, SplitAutoTileMatchesRowScan) {
+  // compute_block_auto on the AVX-512 ladders: wide wedge tiles split
+  // into int8 and int16 runs, with row counts of whole 64-row strips and
+  // with remainders, and an int8 overflow inside a low run.
+  if (&sw::dispatched_simd_backend() != &sw::simd_avx512::kBackend) {
+    GTEST_SKIP() << "auto does not dispatch to the avx512 backend";
+  }
+  base::Rng rng(512);
+  const ScoreScheme scheme;
+  int trial = 0;
+  for (const int rows : {64, 65, 96, 128, 191}) {
+    for (const bool overflow : {false, true}) {
+      const auto cols = static_cast<int>(
+          rng.next_range(4 * sw::kAutoSplitCols, 8 * sw::kAutoSplitCols));
+      const BlockInput in = wedge_input(scheme, rows, cols, rng,
+                                        /*high_left=*/trial % 2 == 0,
+                                        overflow ? cols - 100 : -1);
+      const std::string label = std::to_string(rows) + "x" +
+                                std::to_string(cols) +
+                                (overflow ? ", int8 overflow" : "");
+      for (const bool aliased : {true, false}) {
+        const KernelIo scan =
+            run_kernel(&sw::compute_block, scheme, in, aliased);
+        const KernelIo autos =
+            run_kernel(&sw::compute_block_auto, scheme, in, aliased);
+        expect_same(autos, scan, label);
+        if (overflow) {
+          EXPECT_GE(autos.result.overflow_reruns, 1) << label;
+        }
+      }
+      ++trial;
+    }
   }
 }
 
@@ -687,11 +853,11 @@ TEST(KernelRegistryTest, EveryRegisteredKernelHasParityCoverage) {
   // registering a kernel without adding it here (and thus without
   // thinking about its parity/overflow coverage) fails the build.
   const std::vector<std::string> covered = {
-      "row",          "simd",          "simd16",
-      "simd8",        "auto",          "simd-avx2",
-      "simd-sse42",   "simd-scalar",   "simd16-avx2",
-      "simd16-sse42", "simd16-scalar", "simd8-avx2",
-      "simd8-sse42",  "simd8-scalar"};
+      "row",           "simd",         "simd16",       "simd8",
+      "auto",          "simd-avx512",  "simd-avx2",    "simd-sse42",
+      "simd-scalar",   "simd16-avx512", "simd16-avx2", "simd16-sse42",
+      "simd16-scalar", "simd8-avx512", "simd8-avx2",   "simd8-sse42",
+      "simd8-scalar"};
   for (const sw::KernelInfo& info : sw::kernel_registry()) {
     EXPECT_NE(std::find(covered.begin(), covered.end(), info.name),
               covered.end())
@@ -701,10 +867,29 @@ TEST(KernelRegistryTest, EveryRegisteredKernelHasParityCoverage) {
   }
 }
 
+TEST(KernelRegistryTest, EnvCapHoldsDispatchAtOrBelowItsLevel) {
+  // Under MGPUSW_SIMD=avx2|sse4.2|scalar (CI's capped runs) the detected
+  // level, and with it every runnable backend, stays at or below the
+  // named one, so an AVX-512 host can still run the AVX2 dispatch.
+  const char* cap = std::getenv("MGPUSW_SIMD");
+  if (cap == nullptr) GTEST_SKIP() << "MGPUSW_SIMD is not set";
+  for (const sw::SimdIsa level : {sw::SimdIsa::kScalar, sw::SimdIsa::kSse42,
+                                  sw::SimdIsa::kAvx2, sw::SimdIsa::kAvx512}) {
+    if (std::string(cap) != sw::simd_isa_name(level)) continue;
+    EXPECT_LE(sw::detected_simd_isa(), level) << cap;
+    for (const sw::SimdBackend* backend : sw::runnable_simd_backends()) {
+      EXPECT_LE(backend->isa, level) << backend->tag;
+    }
+  }
+}
+
 TEST(KernelRegistryTest, DispatchedBackendMatchesDetectedIsa) {
   // The dispatcher may never pick a backend above the detected ISA level.
   const std::string active = sw::active_simd_backend();
   const sw::SimdIsa detected = sw::detected_simd_isa();
+  if (active == "avx512") {
+    EXPECT_GE(detected, sw::SimdIsa::kAvx512);
+  }
   if (active == "avx2") {
     EXPECT_GE(detected, sw::SimdIsa::kAvx2);
   }
