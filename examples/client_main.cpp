@@ -33,9 +33,6 @@ void print_status(const serve::JobStatus& status) {
     std::printf("  score=%lld", static_cast<long long>(status.score));
   }
   if (status.restarts > 0) std::printf("  restarts=%d", status.restarts);
-  if (status.rebalances > 0) {
-    std::printf("  rebalances=%d", status.rebalances);
-  }
   for (const std::string& name : status.lost_devices) {
     std::printf("  lost=%s", name.c_str());
   }

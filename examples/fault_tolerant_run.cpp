@@ -13,8 +13,6 @@
 //   $ ./fault_tolerant_run --scale=8192
 //   $ ./fault_tolerant_run --fault="dev0:die@kernel=100" --tcp
 //   $ ./fault_tolerant_run --fault="chan0:drop@chunk=7"
-//   $ ./fault_tolerant_run --rebalance --throttle=4
-#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <unistd.h>
@@ -46,18 +44,6 @@ int main(int argc, char** argv) {
   flags.add_int("comm_timeout_ms", 2000,
                 "TCP read/write timeout (0 = block forever)");
   flags.add_int("max_restarts", 3, "RecoveryPolicy restart budget");
-  flags.add_bool("rebalance", false,
-                 "re-split columns when measured rates disagree with the "
-                 "plan (shares the restart budget)");
-  flags.add_int("rebalance-check-rows", 4,
-                "evaluate the split every this many completed block rows");
-  flags.add_double("rebalance-min-imbalance", 0.5,
-                   "projected finish-time spread that triggers a re-split");
-  flags.add_int("rebalance-max-resplits", 2,
-                "re-splits allowed per comparison");
-  flags.add_double("throttle", 1.0,
-                   "slow device 1 by this factor mid-run (>1 gives the "
-                   "rebalancer something to correct)");
   flags.add_string("trace-out", "",
                    "write a Chrome/Perfetto trace of the faulted run here");
   flags.add_string("metrics-json", "",
@@ -107,31 +93,6 @@ int main(int argc, char** argv) {
       vgpu::parse_fault_plan(flags.get_string("fault")));
   config.fault = &injector;
 
-  // Dynamic rebalancing: watch the measured per-device cell rates and
-  // re-split the remaining columns when they disagree with the plan.
-  config.rebalance.enabled = flags.get_bool("rebalance");
-  config.rebalance.check_every_rows = flags.get_int("rebalance-check-rows");
-  config.rebalance.min_imbalance =
-      flags.get_double("rebalance-min-imbalance");
-  config.rebalance.max_resplits =
-      static_cast<int>(flags.get_int("rebalance-max-resplits"));
-
-  // Optional mid-run throttle: once device 1 finishes its first block
-  // row, every later kernel pays the factor — the planner's weights are
-  // suddenly wrong, which is exactly what --rebalance corrects. Applied
-  // after the first row (not up front) so the plan-time weights stay
-  // honest, like a GPU that starts thermal throttling under load.
-  const double throttle = flags.get_double("throttle");
-  std::atomic<bool> throttled{false};
-  if (throttle > 1.0) {
-    config.progress = [&](const core::ProgressEvent& event) {
-      if (event.device_index == 1 && event.completed_units >= 1 &&
-          !throttled.exchange(true)) {
-        d1.set_slowdown(throttle);
-      }
-    };
-  }
-
   // Observability covers the faulted run only (not the reference run),
   // so the trace shows exactly what recovery did.
   obs::Tracer tracer;
@@ -150,19 +111,11 @@ int main(int argc, char** argv) {
     const core::RecoveryResult recovered = core::run_with_recovery(
         config, pool, homologs.query, homologs.subject, policy);
     std::printf("recovered run  : score %d at (%lld, %lld) on %zu "
-                "device(s), %d restart(s), %d rebalance(s)\n",
+                "device(s), %d restart(s)\n",
                 recovered.result.best.score,
                 static_cast<long long>(recovered.result.best.end.row),
                 static_cast<long long>(recovered.result.best.end.col),
-                recovered.result.devices.size(), recovered.restarts,
-                recovered.rebalances);
-    if (!recovered.rebalanced_weights.empty()) {
-      std::printf("re-split       :");
-      for (double weight : recovered.rebalanced_weights) {
-        std::printf(" %.3f", weight);
-      }
-      std::printf(" (measured-rate column weights)\n");
-    }
+                recovered.result.devices.size(), recovered.restarts);
     for (const std::string& name : recovered.lost_devices) {
       std::printf("lost device    : %s\n", name.c_str());
     }

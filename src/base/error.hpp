@@ -68,10 +68,10 @@ class ProtocolError : public TransientError {
 };
 
 /// Cooperative interruption: a runner observed EngineConfig::stop_request
-/// raised at a scheduling-unit boundary. The dynamic load rebalancer uses
-/// this to stop a mis-split run so the remaining rows can be re-split;
-/// everything completed before the stop is intact, so a restart from the
-/// newest checkpoint is always safe — hence transient.
+/// raised at a scheduling-unit boundary, which is how a job is cancelled.
+/// Everything completed before the stop is intact, so a restart from the
+/// newest checkpoint would be safe — hence transient; run_with_recovery
+/// still rethrows it, because the caller asked for the cancel.
 class InterruptedError : public TransientError {
  public:
   explicit InterruptedError(const std::string& what)

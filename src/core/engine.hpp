@@ -37,7 +37,6 @@
 #include "comm/channel.hpp"
 #include "core/partition.hpp"
 #include "core/plan.hpp"
-#include "core/rebalance.hpp"
 #include "core/slice_runner.hpp"
 #include "core/special_rows.hpp"
 #include "seq/sequence.hpp"
@@ -108,14 +107,9 @@ struct EngineConfig {
   /// are borrowed and must outlive the engine's runs.
   obs::Scope obs;
 
-  /// Dynamic rebalancing policy (core/rebalance.hpp). The engine itself
-  /// only polls `stop_request`; run_with_recovery owns the controller
-  /// that raises the flag and turns the stop into a re-split restart.
-  RebalancePolicy rebalance;
-
-  /// Cooperative stop flag, polled by every runner at scheduling-unit
-  /// boundaries; raising it makes the run fail with InterruptedError
-  /// (transient — restartable from the newest checkpoint). Borrowed;
+  /// Cooperative cancel flag, polled by every runner at scheduling-unit
+  /// boundaries; raising it makes the run fail with InterruptedError,
+  /// which run_with_recovery rethrows without restarting. Borrowed;
   /// null disables the check.
   std::atomic<bool>* stop_request = nullptr;
 };

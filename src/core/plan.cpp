@@ -63,4 +63,16 @@ std::vector<double> profile_weights(
   return weights;
 }
 
+std::vector<double> estimate_rates(
+    const std::vector<vgpu::RateSample>& samples) {
+  std::vector<double> rates;
+  rates.reserve(samples.size());
+  for (const vgpu::RateSample& sample : samples) {
+    if (sample.cells <= 0 || sample.busy_ns <= 0) return {};
+    rates.push_back(static_cast<double>(sample.cells) * 1e9 /
+                    static_cast<double>(sample.busy_ns));
+  }
+  return rates;
+}
+
 }  // namespace mgpusw::core

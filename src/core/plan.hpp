@@ -17,6 +17,7 @@
 
 #include "core/partition.hpp"
 #include "sw/kernel.hpp"
+#include "vgpu/device.hpp"
 #include "vgpu/spec.hpp"
 
 namespace mgpusw::core {
@@ -96,5 +97,19 @@ struct AlignmentPlan {
 /// default split and BalanceMode::kDeviceRate's split on cold devices.
 [[nodiscard]] std::vector<double> profile_weights(
     const std::vector<vgpu::DeviceSpec>& devices);
+
+/// Kernel time a device must have measured before BalanceMode::kDeviceRate
+/// trusts its rate window: below it, two threads of a shared host, or two
+/// slices whose rows differ in how many blocks fall back to a wider
+/// precision, can measure far apart on equal devices.
+inline constexpr std::int64_t kTrustedBusyNs = 10'000'000;
+
+/// Effective cell rate per device (cells per second) from per-device
+/// compute totals — the one place (cells, busy_ns) becomes a rate.
+/// Returns an empty vector when any device has no measurable sample yet
+/// (zero cells or zero busy time) — callers treat that as "not enough
+/// data, keep waiting".
+[[nodiscard]] std::vector<double> estimate_rates(
+    const std::vector<vgpu::RateSample>& samples);
 
 }  // namespace mgpusw::core

@@ -49,10 +49,8 @@ RecoveryResult run_with_recovery(const EngineConfig& base_config,
 
   // The caller's stop flag means *cancel the job*, which recovery must
   // never treat as a restartable failure (InterruptedError classifies as
-  // transient). Remember it so the attempt loop can tell a cancel apart
-  // from an engine fault, including attempts where the rebalance
-  // controller substitutes its own stop flag.
-  std::atomic<bool>* const caller_stop = base_config.stop_request;
+  // transient).
+  std::atomic<bool>* const cancel = base_config.stop_request;
 
   // Checkpoints are what restarts resume from; without a caller-provided
   // store, recovery keeps its own (in-memory — it only needs to survive
@@ -72,18 +70,15 @@ RecoveryResult run_with_recovery(const EngineConfig& base_config,
                    "restarts");
   }
 
-  // Stamp every ProgressEvent with the restart/rebalance counts so
-  // consumers can tell attempts apart. Shared atomics: the wrapper
-  // outlives this frame inside engine copies of the callback.
+  // Stamp every ProgressEvent with the restart count so consumers can
+  // tell attempts apart. A shared atomic: the wrapper outlives this frame
+  // inside engine copies of the callback.
   auto restart_count = std::make_shared<std::atomic<int>>(0);
-  auto rebalance_count = std::make_shared<std::atomic<int>>(0);
   if (base_config.progress) {
-    config.progress = [inner = base_config.progress, restart_count,
-                       rebalance_count](const ProgressEvent& event) {
+    config.progress = [inner = base_config.progress,
+                       restart_count](const ProgressEvent& event) {
       ProgressEvent stamped = event;
       stamped.restarts = restart_count->load(std::memory_order_relaxed);
-      stamped.rebalances =
-          rebalance_count->load(std::memory_order_relaxed);
       inner(stamped);
     };
   }
@@ -99,7 +94,6 @@ RecoveryResult run_with_recovery(const EngineConfig& base_config,
   base::WallTimer total_wall;
   RecoveryResult out;
   sw::ScoreResult carried_best;
-  std::vector<double> rebalanced_weights;
   std::int64_t resume_row = -1;
   if (resume != nullptr) {
     // Cross-process resume: seed the first attempt exactly like an
@@ -115,44 +109,7 @@ RecoveryResult run_with_recovery(const EngineConfig& base_config,
   while (true) {
     if (config.fault != nullptr) config.fault_ordinals = ordinals;
 
-    // Arm a rebalance controller for this attempt when the policy asks
-    // for one and both budgets (re-splits, shared restarts) have room —
-    // arming with no restart left would stop a run it cannot restart.
-    EngineConfig attempt = config;
-    std::shared_ptr<RebalanceController> controller;
-    if (config.rebalance.enabled &&
-        rebalance_count->load(std::memory_order_relaxed) <
-            config.rebalance.max_resplits &&
-        restart_count->load(std::memory_order_relaxed) <
-            policy.max_restarts) {
-      controller =
-          std::make_shared<RebalanceController>(config.rebalance);
-      attempt.stop_request = controller->stop_flag();
-      attempt.progress = [inner = config.progress, controller,
-                          caller_stop](const ProgressEvent& event) {
-        // The controller's flag replaced the caller's for this attempt;
-        // forward a cancel so the engine still stops promptly.
-        if (caller_stop != nullptr &&
-            caller_stop->load(std::memory_order_relaxed)) {
-          controller->stop_flag()->store(true, std::memory_order_relaxed);
-        }
-        controller->observe(event);
-        if (inner) inner(event);
-      };
-    }
-    MultiDeviceEngine engine(attempt, devices);
-    if (controller != nullptr) {
-      // The shares the controller judges against are the block columns
-      // the plan actually allocated, not the raw weights — rounding to
-      // block granularity is part of the split being observed.
-      const AlignmentPlan plan = engine.plan(rows, cols);
-      std::vector<double> shares;
-      shares.reserve(plan.devices.size());
-      for (const SlicePlan& slice : plan.devices) {
-        shares.push_back(static_cast<double>(slice.block_columns));
-      }
-      controller->set_planned_shares(std::move(shares));
-    }
+    MultiDeviceEngine engine(config, devices);
     std::exception_ptr error;
     try {
       EngineResult result =
@@ -170,24 +127,16 @@ RecoveryResult run_with_recovery(const EngineConfig& base_config,
       result.wall_seconds = total_wall.elapsed_seconds();
       out.result = std::move(result);
       out.restarts = restart_count->load(std::memory_order_relaxed);
-      out.rebalances = rebalance_count->load(std::memory_order_relaxed);
-      out.rebalanced_weights = rebalanced_weights;
       return out;
     } catch (...) {
       error = std::current_exception();
     }
 
-    // A raised caller flag means this failure *is* the cancel: rethrow
-    // without consuming a restart, losing a device, or rebalancing.
-    if (caller_stop != nullptr &&
-        caller_stop->load(std::memory_order_relaxed)) {
+    // A raised cancel flag means this failure *is* the cancel: rethrow
+    // without consuming a restart or losing a device.
+    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
       std::rethrow_exception(error);
     }
-
-    const bool rebalance_stop =
-        controller != nullptr && controller->stop_requested();
-    std::vector<double> new_weights;
-    if (rebalance_stop) new_weights = controller->observed_weights();
 
     // Judge the failure by *all* per-device faults, not just the first
     // error the engine rethrew: when a device dies, its neighbours often
@@ -219,11 +168,6 @@ RecoveryResult run_with_recovery(const EngineConfig& base_config,
               config.custom_weights.begin() +
               static_cast<std::ptrdiff_t>(d));
         }
-        // Keep the measured rates parallel to the shrunken pool.
-        if (rebalance_stop && d < new_weights.size()) {
-          new_weights.erase(new_weights.begin() +
-                            static_cast<std::ptrdiff_t>(d));
-        }
       }
     }
 
@@ -249,34 +193,6 @@ RecoveryResult run_with_recovery(const EngineConfig& base_config,
           restarts_used, out.lost_devices);
     }
     restart_count->fetch_add(1, std::memory_order_relaxed);
-    if (rebalance_stop && !new_weights.empty()) {
-      // Re-split the remaining rows in proportion to the rates actually
-      // measured; the restart below resumes from the newest checkpoint,
-      // so the answer stays bit-identical (same recovery invariant as a
-      // device-loss restart).
-      rebalance_count->fetch_add(1, std::memory_order_relaxed);
-      config.balance = BalanceMode::kCustomWeights;
-      config.custom_weights = normalize_weights(std::move(new_weights));
-      rebalanced_weights = config.custom_weights;
-      MGPUSW_LOG(kInfo) << "recovery: rebalance "
-                        << rebalance_count->load(std::memory_order_relaxed)
-                        << ", observed imbalance "
-                        << controller->last_imbalance();
-      if (config.obs.metrics != nullptr) {
-        config.obs.metrics->counter("recovery.rebalances").increment();
-      }
-      if (config.obs.tracer != nullptr) {
-        config.obs.tracer->instant(
-            "recovery", "rebalance",
-            {obs::TraceArg::number("resplit",
-                                   rebalance_count->load(
-                                       std::memory_order_relaxed)),
-             obs::TraceArg::number(
-                 "imbalance_pct",
-                 static_cast<std::int64_t>(
-                     controller->last_imbalance() * 100.0))});
-      }
-    }
     if (config.obs.metrics != nullptr) {
       config.obs.metrics->counter("recovery.restarts").increment();
       config.obs.metrics->counter("recovery.devices_lost")

@@ -67,12 +67,6 @@ struct RecoveryResult {
   EngineResult result;
   int restarts = 0;
   std::vector<std::string> lost_devices;  // spec names, in loss order
-  /// Restarts that were rebalance re-splits (EngineConfig::rebalance);
-  /// they share the max_restarts budget, so rebalances <= restarts.
-  int rebalances = 0;
-  /// The measured-rate column weights of the last re-split; empty when
-  /// no rebalance fired.
-  std::vector<double> rebalanced_weights;
 };
 
 /// The run failed more times than RecoveryPolicy allows, or no healthy
@@ -110,14 +104,8 @@ class RecoveryExhaustedError : public Error {
 /// private in-memory store per `policy.checkpoint_interval`. A non-null
 /// store must have checkpoint_f = true and a positive interval.
 ///
-/// When `config.rebalance.enabled`, each attempt runs under a
-/// RebalanceController fed by the progress stream: if the observed
-/// per-device cell rates say the column split is lopsided beyond
-/// `rebalance.min_imbalance`, the run is stopped cooperatively and
-/// restarted from the newest checkpoint with the measured rates as
-/// custom weights. Rebalance restarts consume the same max_restarts
-/// budget as failures and are counted in RecoveryResult::rebalances;
-/// the recovered result stays bit-identical either way.
+/// A raised `config.stop_request` is a cancel: the InterruptedError it
+/// causes is rethrown at once, without a restart.
 ///
 /// `resume`, when non-null with row >= 0, seeds the first attempt from
 /// that row of `config.special_rows` (which must then be non-null and

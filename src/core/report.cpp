@@ -81,12 +81,6 @@ std::string to_json(const RecoveryResult& result,
     w.value(name);
   }
   w.end_array();
-  w.key("rebalances").value(result.rebalances);
-  w.key("rebalanced_weights").begin_array(base::JsonWriter::kCompact);
-  for (double weight : result.rebalanced_weights) {
-    w.value(weight);
-  }
-  w.end_array();
   std::string run = to_json(result.result);
   while (!run.empty() && run.back() == '\n') run.pop_back();
   w.key("run").raw_value(run);

@@ -339,7 +339,6 @@ void SliceRunner::notify_progress(std::int64_t settled_block_rows) {
                    std::chrono::steady_clock::now() - context_.run_epoch)
                    .count();
   event.job = context_.job;
-  event.busy_ns = device_.busy_ns() - initial_busy_ns_;
   event.device_count = context_.device_count;
   const std::int64_t rows = static_cast<std::int64_t>(query_.size());
   event.safe_row =
@@ -354,7 +353,7 @@ void SliceRunner::throw_if_stop_requested() const {
     return;
   }
   throw InterruptedError("device " + std::to_string(device_index_) +
-                         " stopped cooperatively (rebalance requested)");
+                         " stopped cooperatively (cancel requested)");
 }
 
 void SliceRunner::compute_one(std::int64_t i, std::int64_t j,

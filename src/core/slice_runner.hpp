@@ -60,17 +60,9 @@ struct ProgressEvent {
   /// scheduler threads the item label through here; empty for plain
   /// engine runs).
   std::string job;
-  /// This device's cumulative kernel time (incl. throttle penalty) this
-  /// run, in nanoseconds. Border waits and buffer stalls are excluded,
-  /// so device_cells_done / busy_ns is the device's effective compute
-  /// rate — what the rebalance controller feeds on.
-  std::int64_t busy_ns = 0;
   /// How many recovery restarts preceded this event (0 on a clean run;
   /// stamped by run_with_recovery so consumers can tell attempts apart).
   int restarts = 0;
-  /// How many of those restarts were rebalance re-splits (stamped by
-  /// run_with_recovery; always <= restarts).
-  int rebalances = 0;
   /// How many devices participate in the attempt this event belongs to.
   /// A consumer that has collected events from `device_count` distinct
   /// devices of one attempt may take the minimum of their safe rows as

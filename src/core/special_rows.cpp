@@ -200,8 +200,8 @@ std::int64_t SpecialRowStore::last_restartable_row(
     } catch (const Error& e) {
       // Incomplete, F-less, or failing its CRC: fall back to an older
       // checkpoint instead of aborting the whole recovery. Incomplete
-      // rows are normal after a device loss or a rebalance stop, so this
-      // is a debug note, not a warning.
+      // rows are normal after a device loss, so this is a debug note,
+      // not a warning.
       MGPUSW_LOG(kDebug) << "skipping special row " << *it << ": "
                          << e.what();
     }

@@ -27,7 +27,6 @@ ProgressUpdate Job::progress_update() {
     update.total_units += units.second;
   }
   update.restarts = progress.restarts;
-  update.rebalances = progress.rebalances;
   return update;
 }
 
@@ -273,14 +272,9 @@ JobStatus JobQueue::status(const std::shared_ptr<Job>& job) {
       job->state == JobState::kRunning) {
     std::lock_guard<std::mutex> progress_lock(job->progress.mu);
     status.restarts = job->progress.restarts;
-    status.rebalances = job->progress.rebalances;
   } else {
     status.restarts = job->entry.restarts;
     status.lost_devices = job->entry.lost_devices;
-    {
-      std::lock_guard<std::mutex> progress_lock(job->progress.mu);
-      status.rebalances = job->progress.rebalances;
-    }
     if (job->state == JobState::kDone) {
       status.score = job->entry.result.best.score;
     }

@@ -82,7 +82,6 @@ struct Job {
     std::mutex mu;
     std::map<int, std::pair<std::int64_t, std::int64_t>> device_units;
     int restarts = 0;
-    int rebalances = 0;
 
     // Journal-mode durability cursor. Per-device (safe_row, best) of
     // the current attempt; once every device of the attempt has

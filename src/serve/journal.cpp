@@ -120,7 +120,6 @@ std::string encode_record(const JournalRecord& record) {
     case JournalRecord::Kind::kDone:
     case JournalRecord::Kind::kFailed:
       w.key("restarts").value(record.restarts);
-      w.key("rebalances").value(record.rebalances);
       w.key("lost").begin_array(base::JsonWriter::kCompact);
       for (const std::string& name : record.lost_devices) w.value(name);
       w.end_array();
@@ -178,8 +177,6 @@ JournalRecord decode_record(const std::string& payload) {
     case JournalRecord::Kind::kFailed:
       record.restarts =
           static_cast<int>(optional_int(doc, "restarts", 0));
-      record.rebalances =
-          static_cast<int>(optional_int(doc, "rebalances", 0));
       if (const base::json::Value* lost = doc.find("lost")) {
         if (!lost->is_array()) {
           throw ProtocolError("journal \"lost\" must be an array");

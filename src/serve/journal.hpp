@@ -64,7 +64,6 @@ struct JournalRecord {
   // kDone / kFailed
   std::int64_t score = -1;
   int restarts = 0;
-  int rebalances = 0;
   std::vector<std::string> lost_devices;
   std::int64_t resumed_row = -1;
   std::string result_json;  // core::to_json run report (kDone)

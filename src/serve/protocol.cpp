@@ -182,7 +182,6 @@ std::string encode_status(const JobStatus& status) {
   w.key("tenant").value(status.tenant);
   w.key("label").value(status.label);
   w.key("restarts").value(status.restarts);
-  w.key("rebalances").value(status.rebalances);
   w.key("lost_devices").begin_array(base::JsonWriter::kCompact);
   for (const std::string& name : status.lost_devices) w.value(name);
   w.end_array();
@@ -207,7 +206,6 @@ JobStatus decode_status(const std::string& body) {
   status.tenant = optional_string(doc, "tenant");
   status.label = optional_string(doc, "label");
   status.restarts = static_cast<int>(optional_int(doc, "restarts", 0));
-  status.rebalances = static_cast<int>(optional_int(doc, "rebalances", 0));
   if (const base::json::Value* lost = doc.find("lost_devices")) {
     if (!lost->is_array()) {
       throw ProtocolError("\"lost_devices\" must be an array");
@@ -240,7 +238,6 @@ std::string encode_progress(const ProgressUpdate& update) {
   w.key("completed_units").value(update.completed_units);
   w.key("total_units").value(update.total_units);
   w.key("restarts").value(update.restarts);
-  w.key("rebalances").value(update.rebalances);
   w.end_object();
   return w.str();
 }
@@ -255,7 +252,6 @@ ProgressUpdate decode_progress(const std::string& body) {
   update.completed_units = require_int(doc, "completed_units");
   update.total_units = require_int(doc, "total_units");
   update.restarts = static_cast<int>(optional_int(doc, "restarts", 0));
-  update.rebalances = static_cast<int>(optional_int(doc, "rebalances", 0));
   return update;
 }
 

@@ -119,7 +119,6 @@ struct JobStatus {
   std::string tenant;
   std::string label;
   int restarts = 0;
-  int rebalances = 0;
   std::vector<std::string> lost_devices;
   std::string error;        // failure message (failed jobs)
   std::int64_t score = -1;  // best score (done jobs)
@@ -136,7 +135,6 @@ struct ProgressUpdate {
   std::int64_t completed_units = 0;
   std::int64_t total_units = 0;
   int restarts = 0;
-  int rebalances = 0;
 };
 
 // --- body encoding (JSON) --------------------------------------------------

@@ -232,7 +232,6 @@ void AlignServer::replay_journal() {
         job->entry.result.best.score =
             static_cast<sw::Score>(outcome.score);
       }
-      job->progress.rebalances = outcome.rebalances;
       queue_.restore(job);
       // Left behind if the last life died between the terminal record
       // and the directory's removal.
@@ -433,7 +432,6 @@ void AlignServer::maybe_compact() {
         break;
     }
     fact.restarts = status.restarts;
-    fact.rebalances = status.rebalances;
     fact.lost_devices = status.lost_devices;
     fact.resumed_row = status.resumed_row;
     out.push_back(std::move(fact));
@@ -740,8 +738,7 @@ void AlignServer::handle_progress_stream(
       return;
     }
     if (update.completed_units != last.completed_units ||
-        update.restarts != last.restarts ||
-        update.rebalances != last.rebalances) {
+        update.restarts != last.restarts) {
       send_message(stream, FrameType::kProgressEvent,
                    encode_progress(update));
       last = update;
@@ -786,7 +783,6 @@ void AlignServer::run_job(const std::shared_ptr<Job>& job) {
         job->progress.device_safe.clear();
         job->progress.restarts = event.restarts;
       }
-      job->progress.rebalances = event.rebalances;
       job->progress.device_units[event.device_index] = {
           event.completed_units, event.total_units};
       if (journaling) {
@@ -869,7 +865,6 @@ void AlignServer::run_job(const std::shared_ptr<Job>& job) {
     core::run_batch_item(batch, *fleet_, item, job->entry);
   } catch (const std::exception& e) {
     terminal.restarts = job->entry.restarts;
-    terminal.rebalances = job->progress_update().rebalances;
     terminal.lost_devices = job->entry.lost_devices;
     if (job->cancel.load(std::memory_order_relaxed)) {
       terminal.kind = JournalRecord::Kind::kCancelled;
@@ -892,7 +887,6 @@ void AlignServer::run_job(const std::shared_ptr<Job>& job) {
   terminal.kind = JournalRecord::Kind::kDone;
   terminal.score = job->entry.result.best.score;
   terminal.restarts = job->entry.restarts;
-  terminal.rebalances = job->progress_update().rebalances;
   terminal.lost_devices = job->entry.lost_devices;
   terminal.result_json = core::to_json(job->entry.result);
   journal_terminal(*job, terminal);

@@ -404,118 +404,4 @@ SimResult simulate_pipeline(const SimConfig& config) {
   return simulate_pipeline(config, core::make_plan(request));
 }
 
-RebalanceSimResult simulate_rebalance(const SimConfig& config) {
-  MGPUSW_REQUIRE(!config.devices.empty(), "need at least one device");
-  MGPUSW_REQUIRE(config.schedule == SimSchedule::kRowMajor,
-                 "simulate_rebalance models the row-major pipeline");
-  MGPUSW_REQUIRE(config.checkpoint_interval > 0,
-                 "checkpoint_interval must be positive");
-
-  // What the simulated controller observes: in the model, the measured
-  // rate of a device is exactly its true profile speed.
-  std::vector<double> true_rates;
-  true_rates.reserve(config.devices.size());
-  for (const vgpu::DeviceSpec& spec : config.devices) {
-    MGPUSW_REQUIRE(spec.sw_gcups > 0, spec.name << " has non-positive rate");
-    true_rates.push_back(spec.sw_gcups);
-  }
-
-  RebalanceSimResult out;
-  std::vector<double> weights = config.weights.empty()
-                                    ? core::profile_weights(config.devices)
-                                    : config.weights;
-  MGPUSW_REQUIRE(weights.size() == config.devices.size(),
-                 "one weight per device required");
-
-  std::vector<SimDeviceStats> merged(config.devices.size());
-  std::int64_t rows_left = config.rows;
-  std::int64_t abs_block_row = 0;
-  const std::int64_t check_rows =
-      std::max<std::int64_t>(1, config.rebalance.check_every_rows);
-
-  while (true) {
-    SimConfig segment = config;
-    segment.rows = rows_left;
-    segment.weights = weights;
-
-    core::PlanRequest request;
-    request.rows = segment.rows;
-    request.cols = segment.cols;
-    request.block_rows = segment.block_rows;
-    request.block_cols = segment.block_cols;
-    request.buffer_capacity = segment.buffer_capacity;
-    request.weights = weights;
-    const core::AlignmentPlan plan = core::make_plan(request);
-
-    // The shares the controller judges are the block columns the plan
-    // actually allocated (mirrors run_with_recovery).
-    std::vector<double> shares;
-    shares.reserve(plan.devices.size());
-    for (const core::SlicePlan& slice : plan.devices) {
-      shares.push_back(static_cast<double>(slice.block_columns));
-    }
-    const double imbalance =
-        config.devices.size() < 2
-            ? 0.0
-            : core::split_imbalance(core::normalize_weights(shares),
-                                    core::normalize_weights(true_rates));
-
-    const bool resplit = config.rebalance.enabled &&
-                         out.resplits < config.rebalance.max_resplits &&
-                         imbalance > config.rebalance.min_imbalance &&
-                         check_rows < plan.block_row_count;
-    out.steps.push_back(RebalanceSimStep{abs_block_row, imbalance, weights});
-
-    if (!resplit) {
-      // Run the rest of the matrix on the current split.
-      const SimResult tail = simulate_pipeline(segment, plan);
-      out.result.makespan_ns += tail.makespan_ns;
-      for (std::size_t d = 0; d < merged.size(); ++d) {
-        merged[d].device_name = tail.devices[d].device_name;
-        merged[d].slice = tail.devices[d].slice;
-        merged[d].cells += tail.devices[d].cells;
-        merged[d].busy_ns += tail.devices[d].busy_ns;
-        merged[d].recv_wait_ns += tail.devices[d].recv_wait_ns;
-        merged[d].send_wait_ns += tail.devices[d].send_wait_ns;
-        merged[d].finish_ns = out.result.makespan_ns;
-      }
-      break;
-    }
-
-    // The controller fires once every device has finished check_rows
-    // block rows of the segment: simulate exactly those rows on the
-    // mis-split plan and charge their full pipeline makespan.
-    SimConfig head = segment;
-    head.rows = check_rows * segment.block_rows;
-    const SimResult cost = simulate_pipeline(head);
-    out.result.makespan_ns += cost.makespan_ns;
-    for (std::size_t d = 0; d < merged.size(); ++d) {
-      merged[d].cells += cost.devices[d].cells;
-      merged[d].busy_ns += cost.devices[d].busy_ns;
-      merged[d].recv_wait_ns += cost.devices[d].recv_wait_ns;
-      merged[d].send_wait_ns += cost.devices[d].send_wait_ns;
-    }
-
-    // The restart resumes from the newest checkpoint at or below the
-    // stop row; the rows in between were computed in vain and run again
-    // under the new split (they stay inside rows_left).
-    const std::int64_t checkpoint_rows =
-        (check_rows / config.checkpoint_interval) *
-        config.checkpoint_interval;
-    out.wasted_cells +=
-        (check_rows - checkpoint_rows) * segment.block_rows * config.cols;
-    abs_block_row += checkpoint_rows;
-    rows_left -= checkpoint_rows * segment.block_rows;
-    weights = core::normalize_weights(true_rates);
-    // checkpoint_rows can be 0 (no checkpoint before the decision row):
-    // the restart then redoes the whole segment, and the loop still
-    // terminates because resplits is capped by the policy.
-    ++out.resplits;
-  }
-
-  out.result.total_cells = config.rows * config.cols;
-  out.result.devices = std::move(merged);
-  return out;
-}
-
 }  // namespace mgpusw::sim

@@ -1,16 +1,16 @@
 // Discrete-event performance model of the multi-device pipeline.
 //
-// Why this exists: the host running this reproduction has no GPUs (and a
-// single CPU core), so wall-clock runs cannot exhibit the paper's multi-
-// GPU scaling. This simulator executes the *same schedule* as the real
-// engine's default fine-grain (row-major) mode — block rows in sequence
-// per device, border chunks pushed through a capacity-bounded circular
-// buffer, blocking sends on a full buffer, blocking receives on an empty
-// one — but advances virtual time from device rate profiles instead of
-// running kernels. The real engine (src/core) validates that the schedule
-// computes correct scores; this model regenerates the paper-scale GCUPS
-// numbers and their shapes (scaling curves, buffer-size sensitivity,
-// split-balance sensitivity).
+// Why this exists: the host running this reproduction has no GPUs, and
+// its few CPU cores are shared and noisy, so wall-clock runs cannot
+// exhibit the paper's multi-GPU scaling. This simulator executes the
+// *same schedule* as the real engine's default fine-grain (row-major)
+// mode — block rows in sequence per device, border chunks pushed through
+// a capacity-bounded circular buffer, blocking sends on a full buffer,
+// blocking receives on an empty one — but advances virtual time from
+// device rate profiles instead of running kernels. The real engine
+// (src/core) validates that the schedule computes correct scores; this
+// model regenerates the paper-scale GCUPS numbers and their shapes
+// (scaling curves, buffer-size sensitivity, split-balance sensitivity).
 //
 // Timing model per device d:
 //   * one block row of the slice (cells = block_rows x slice width)
@@ -31,7 +31,6 @@
 
 #include "base/time.hpp"
 #include "core/plan.hpp"
-#include "core/rebalance.hpp"
 #include "vgpu/spec.hpp"
 
 namespace mgpusw::sim {
@@ -63,17 +62,6 @@ struct SimConfig {
   /// Blocks needed to saturate a device; 0 = its sm_count.
   int dispatch_width = 0;
   SimSchedule schedule = SimSchedule::kRowMajor;
-
-  /// Dynamic rebalancing model (simulate_rebalance): the simulated
-  /// controller measures the true rates (DeviceSpec::sw_gcups) against
-  /// the planned shares and re-splits per this policy. Mis-calibration
-  /// is expressed by `weights` diverging from the sw_gcups proportions.
-  core::RebalancePolicy rebalance;
-  /// Block rows between restartable checkpoints (recovery's
-  /// checkpoint_interval): a simulated re-split resumes from the newest
-  /// checkpoint at or below the decision row, recomputing the rows in
-  /// between.
-  std::int64_t checkpoint_interval = 4;
 };
 
 struct SimDeviceStats {
@@ -108,37 +96,6 @@ struct SimResult {
 /// Geometry and slices are derived through core::make_plan, so the
 /// simulated slices are exactly the ones the real engine would run.
 [[nodiscard]] SimResult simulate_pipeline(const SimConfig& config);
-
-/// One executed segment of a rebalanced simulation: the split it ran
-/// with and the imbalance the simulated controller judged it at.
-struct RebalanceSimStep {
-  std::int64_t start_block_row = 0;  // absolute block row of the segment
-  double imbalance = 0.0;            // split_imbalance at segment start
-  std::vector<double> weights;       // weights the segment was planned with
-};
-
-/// Outcome of simulate_rebalance. `result.makespan_ns` sums the
-/// segments; `result.total_cells` is the matrix size (recomputed
-/// checkpoint-to-stop rows are overhead inside the makespan, tracked in
-/// `wasted_cells`), so gcups() is directly comparable to a static run's.
-struct RebalanceSimResult {
-  SimResult result;
-  int resplits = 0;
-  std::vector<RebalanceSimStep> steps;  // one per executed segment
-  std::int64_t wasted_cells = 0;  // recomputed after re-split restarts
-
-  [[nodiscard]] double gcups() const { return result.gcups(); }
-};
-
-/// Models the feedback-driven rebalancer (core/rebalance.hpp +
-/// run_with_recovery) on top of the pipeline model: run check_every_rows
-/// block rows on the planned split, observe the true rates, and when the
-/// imbalance beats the policy threshold, restart from the newest
-/// checkpoint with rate-proportional weights — exactly the decision
-/// sequence the real controller drives, with virtual time. Row-major
-/// schedule only (the fine-grain pipeline is what rebalancing targets).
-[[nodiscard]] RebalanceSimResult simulate_rebalance(
-    const SimConfig& config);
 
 /// Runs the model against a caller-supplied plan (e.g. the exact plan a
 /// MultiDeviceEngine reports via plan()). The plan's geometry overrides

@@ -10,7 +10,7 @@
 #include "base/error.hpp"
 #include "core/engine.hpp"
 #include "core/partition.hpp"
-#include "core/rebalance.hpp"
+#include "core/plan.hpp"
 #include "core/recovery.hpp"
 #include "core/report.hpp"
 #include "core/special_rows.hpp"
@@ -583,6 +583,23 @@ void warm(const std::vector<vgpu::Device*>& devices, std::int64_t busy_ns,
   for (std::size_t d = 0; d < devices.size(); ++d) {
     devices[d]->account_kernel(busy_ns, cells[d]);
   }
+}
+
+TEST(BalanceTest, EstimateRatesConvertsToCellsPerSecond) {
+  const std::vector<vgpu::RateSample> samples = {
+      {1'000'000, 1'000'000'000},  // 1e6 cells in 1 s
+      {500'000, 250'000'000},      // 5e5 cells in 0.25 s
+  };
+  const std::vector<double> rates = core::estimate_rates(samples);
+  ASSERT_EQ(rates.size(), 2u);
+  EXPECT_DOUBLE_EQ(rates[0], 1e6);
+  EXPECT_DOUBLE_EQ(rates[1], 2e6);
+}
+
+TEST(BalanceTest, EstimateRatesEmptyUntilEveryDeviceMeasured) {
+  EXPECT_TRUE(core::estimate_rates({{1000, 100}, {0, 100}}).empty());
+  EXPECT_TRUE(core::estimate_rates({{1000, 100}, {1000, 0}}).empty());
+  EXPECT_FALSE(core::estimate_rates({{1000, 100}, {1000, 50}}).empty());
 }
 
 TEST(BalanceTest, SpecWeights) {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "base/error.hpp"
+#include "base/json.hpp"
 #include "serve/client_lib.hpp"
 #include "serve/journal.hpp"
 #include "serve/protocol.hpp"
@@ -101,7 +102,6 @@ TEST(JournalRecordCodec, TerminalRecordsRoundTrip) {
   done.job_id = 9;
   done.score = 321;
   done.restarts = 2;
-  done.rebalances = 1;
   done.lost_devices = {"dev1"};
   done.resumed_row = 255;
   done.result_json = R"({"best":{"score":321}})";
@@ -109,10 +109,25 @@ TEST(JournalRecordCodec, TerminalRecordsRoundTrip) {
   EXPECT_EQ(back.kind, JournalRecord::Kind::kDone);
   EXPECT_EQ(back.score, 321);
   EXPECT_EQ(back.restarts, 2);
-  EXPECT_EQ(back.rebalances, 1);
   EXPECT_EQ(back.lost_devices, std::vector<std::string>{"dev1"});
   EXPECT_EQ(back.resumed_row, 255);
   EXPECT_FALSE(back.result_json.empty());
+
+  // Older daemons also journaled a "rebalances" counter in terminal
+  // records; their journals must still replay, so the key is ignored.
+  back = decode_record(
+      R"({"kind":"done","job_id":9,"restarts":2,"rebalances":1,)"
+      R"("lost":["dev1"],"resumed_row":255,"score":321,)"
+      R"("result":{"best":{"score":321}}})");
+  EXPECT_EQ(back.kind, JournalRecord::Kind::kDone);
+  EXPECT_EQ(back.job_id, 9);
+  EXPECT_EQ(back.score, 321);
+  EXPECT_EQ(back.restarts, 2);
+  EXPECT_EQ(back.lost_devices, std::vector<std::string>{"dev1"});
+  EXPECT_EQ(back.resumed_row, 255);
+  EXPECT_EQ(base::json::parse(back.result_json)
+                .at("best").at("score").as_int(),
+            321);
 
   JournalRecord failed;
   failed.kind = JournalRecord::Kind::kFailed;

@@ -207,7 +207,6 @@ TEST(ProtocolBodies, StatusRoundTripWithResult) {
   status.tenant = "bob";
   status.label = "j";
   status.restarts = 1;
-  status.rebalances = 2;
   status.lost_devices = {"GTX 580"};
   status.score = 777;
   status.result_json = R"({"score": 777, "gcups": 1.5})";
@@ -215,13 +214,31 @@ TEST(ProtocolBodies, StatusRoundTripWithResult) {
   EXPECT_EQ(back.job_id, 12);
   EXPECT_EQ(back.state, JobState::kDone);
   EXPECT_EQ(back.restarts, 1);
-  EXPECT_EQ(back.rebalances, 2);
   ASSERT_EQ(back.lost_devices.size(), 1u);
   EXPECT_EQ(back.lost_devices[0], "GTX 580");
   EXPECT_EQ(back.score, 777);
   // The nested report survives as parseable JSON with its fields.
   const base::json::Value report = base::json::parse(back.result_json);
   EXPECT_EQ(report.at("score").as_int(), 777);
+
+  // Older daemons also sent a "rebalances" counter; a body that still
+  // holds it decodes to the same status.
+  const JobStatus old = decode_status(
+      R"({"job_id":12,"state":"done","tenant":"bob","label":"j",)"
+      R"("restarts":1,"rebalances":1,"lost_devices":["GTX 580"],)"
+      R"("score":777,"resumed_row":3,)"
+      R"("result":{"score":777,"gcups":1.5}})");
+  EXPECT_EQ(old.job_id, 12);
+  EXPECT_EQ(old.state, JobState::kDone);
+  EXPECT_EQ(old.tenant, "bob");
+  EXPECT_EQ(old.label, "j");
+  EXPECT_EQ(old.restarts, 1);
+  EXPECT_EQ(old.lost_devices, std::vector<std::string>{"GTX 580"});
+  EXPECT_EQ(old.score, 777);
+  EXPECT_EQ(old.resumed_row, 3);
+  EXPECT_TRUE(old.error.empty());
+  EXPECT_DOUBLE_EQ(base::json::parse(old.result_json).at("gcups").number,
+                   1.5);
 }
 
 TEST(ProtocolBodies, ErrorRoundTripThrowsServeError) {
