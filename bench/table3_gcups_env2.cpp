@@ -38,13 +38,12 @@ int main(int argc, char** argv) {
   std::fputs(table.str().c_str(), stdout);
 
   if (flags.get_bool("real")) {
-    std::printf("\nReal-mode cross-check (scaled chr22, homogeneous toy "
+    std::printf("\nReal-mode cross-check (scaled chr22, 10/15/20-GCUPS toy "
                 "devices):\n");
     core::EngineConfig config;
     config.kernel = flags.get_string("kernel");
     config.block_rows = 64;
     config.block_cols = 64;
-    config.balance = core::BalanceMode::kEqual;
     base::TextTable real({"devices", "score", "oracle", "match"});
     for (int count = 1; count <= 3; ++count) {
       const bench::RealRun run = bench::run_real(

@@ -39,65 +39,39 @@ MultiDeviceEngine::MultiDeviceEngine(EngineConfig config,
   MGPUSW_REQUIRE(config_.block_cols > 0, "block_cols must be positive");
   MGPUSW_REQUIRE(config_.buffer_capacity > 0,
                  "buffer_capacity must be positive");
-  if (config_.balance == BalanceMode::kCustomWeights) {
-    MGPUSW_REQUIRE(config_.custom_weights.size() == devices_.size(),
-                   "custom_weights must have one entry per device");
-  }
   if (config_.special_row_interval > 0) {
     MGPUSW_REQUIRE(config_.special_rows != nullptr,
                    "special_row_interval set but special_rows is null");
   }
-  // Resolve every kernel once (find_kernel throws on unknown names), so
-  // a typo fails at construction instead of mid-run and run_internal
-  // never repeats the lookup.
-  (void)sw::find_kernel(config_.kernel);
-  kernels_.reserve(devices_.size());
-  bool any_override = false;
-  for (const vgpu::Device* device : devices_) {
-    const std::string& device_kernel = device->spec().kernel;
-    kernels_.push_back(sw::find_kernel(
-        device_kernel.empty() ? config_.kernel : device_kernel));
-    any_override = any_override || !device_kernel.empty();
-  }
+  // Resolve the kernel once (find_kernel throws on unknown names), so a
+  // typo fails at construction instead of mid-run and run_internal never
+  // repeats the lookup.
+  kernel_ = sw::find_kernel(config_.kernel);
   MGPUSW_LOG(kInfo) << "engine kernel=" << config_.kernel
-                    << (any_override ? " (per-device overrides present)" : "")
                     << " simd_isa=" << sw::simd_isa_name(sw::detected_simd_isa())
                     << " simd_backend=" << sw::active_simd_backend();
 }
 
 std::vector<double> MultiDeviceEngine::balance_weights() const {
-  std::vector<double> weights;
-  weights.reserve(devices_.size());
-  switch (config_.balance) {
-    case BalanceMode::kEqual:
-      weights.assign(devices_.size(), 1.0);
-      break;
-    case BalanceMode::kDeviceRate: {
-      // Measured cells/s only when every device has a trusted window:
-      // one cold device would otherwise put GCUPS ratings and host cell
-      // rates into the same split.
-      std::vector<vgpu::RateSample> windows;
-      windows.reserve(devices_.size());
-      for (const vgpu::Device* device : devices_) {
-        windows.push_back(device->rate_window());
-      }
-      if (std::all_of(windows.begin(), windows.end(),
-                      [](const vgpu::RateSample& window) {
-                        return window.busy_ns >= kTrustedBusyNs;
-                      })) {
-        weights = estimate_rates(windows);
-        if (!weights.empty()) break;
-      }
-      for (const vgpu::Device* device : devices_) {
-        weights.push_back(device->spec().sw_gcups / device->slowdown());
-      }
-      break;
-    }
-    case BalanceMode::kCustomWeights:
-      weights = config_.custom_weights;
-      break;
+  // Measured cells/s only when every device has a trusted window: one
+  // cold device would otherwise put GCUPS ratings and host cell rates
+  // into the same split.
+  std::vector<vgpu::RateSample> windows;
+  windows.reserve(devices_.size());
+  for (const vgpu::Device* device : devices_) {
+    windows.push_back(device->rate_window());
   }
-  return weights;
+  if (std::all_of(windows.begin(), windows.end(),
+                  [](const vgpu::RateSample& window) {
+                    return window.busy_ns >= kTrustedBusyNs;
+                  })) {
+    std::vector<double> rates = estimate_rates(windows);
+    if (!rates.empty()) return rates;
+  }
+  std::vector<vgpu::DeviceSpec> specs;
+  specs.reserve(devices_.size());
+  for (const vgpu::Device* device : devices_) specs.push_back(device->spec());
+  return profile_weights(specs);
 }
 
 AlignmentPlan MultiDeviceEngine::plan(std::int64_t rows, std::int64_t cols,
@@ -109,20 +83,9 @@ AlignmentPlan MultiDeviceEngine::plan(std::int64_t rows, std::int64_t cols,
   request.block_cols = config_.block_cols;
   request.buffer_capacity = config_.buffer_capacity;
   request.transport = config_.transport;
-  request.default_kernel = config_.kernel;
   request.weights = balance_weights();
-  request.device_kernels.reserve(devices_.size());
-  for (const vgpu::Device* device : devices_) {
-    request.device_kernels.push_back(device->spec().kernel);
-  }
   request.start_block_row = start_block_row;
   return make_plan(request);
-}
-
-std::vector<ColumnRange> MultiDeviceEngine::plan_partition(
-    std::int64_t total_cols) const {
-  return partition_columns(total_cols, balance_weights(),
-                           config_.block_cols);
 }
 
 /// Assembled checkpoint row used to seed a resumed run.
@@ -262,7 +225,7 @@ EngineResult MultiDeviceEngine::run_internal(const seq::Sequence& query,
     comm::BorderSink* out =
         plan.devices[d].has_downstream ? channels[d].sink.get() : nullptr;
     runners.push_back(std::make_unique<SliceRunner>(
-        context, kernels_[d], *devices_[d], static_cast<int>(d),
+        context, kernel_, *devices_[d], static_cast<int>(d),
         query_bases, subject_bases, plan.devices[d], plan.block_row_count,
         in, out, global_best, plan.start_block_row,
         seed == nullptr ? nullptr : seed->h.data(),

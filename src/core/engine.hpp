@@ -53,14 +53,11 @@ struct EngineConfig {
   std::int64_t buffer_capacity = 16;  // circular buffer size, in chunks
   Transport transport = Transport::kInProcess;
 
-  /// Block kernel, by registry name (sw::kernel_registry(); e.g. "row",
-  /// "simd", "simd16", "auto"). Every kernel produces bit-identical
-  /// results; they differ in traversal, lane width and speed. A device
-  /// whose spec names its own kernel overrides this default for its
-  /// slice.
+  /// Block kernel every device runs, by registry name
+  /// (sw::kernel_registry(); e.g. "row", "simd", "simd16", "auto"). Every
+  /// kernel produces bit-identical results; they differ in traversal,
+  /// lane width and speed.
   std::string kernel{sw::kDefaultKernel};
-  BalanceMode balance = BalanceMode::kDeviceRate;
-  std::vector<double> custom_weights;  // used when balance == kCustomWeights
 
   /// Block pruning (extension, CUDAlign 2.1 technique): skip blocks whose
   /// upper bound cannot beat the best score seen so far. Exact score,
@@ -135,7 +132,7 @@ struct RunFailure {
 
 struct EngineResult {
   sw::ScoreResult best;
-  std::string kernel;    // engine-default kernel the run used
+  std::string kernel;    // kernel the run used
   std::string simd_isa;  // strongest SIMD ISA detected on the host
   std::int64_t matrix_cells = 0;  // rows * cols of the full matrix
   std::int64_t computed_cells = 0;  // < matrix_cells when pruning fired
@@ -187,15 +184,13 @@ class MultiDeviceEngine {
   /// The full pre-execution plan for a rows x cols comparison on this
   /// engine's devices — the same value run() executes and
   /// sim::simulate_pipeline projects (the engine–simulator shared-plan
-  /// contract). Under BalanceMode::kDeviceRate the split reads the
-  /// devices' rate windows, so it holds until their next kernel.
+  /// contract). Slices are proportional to the devices' measured rates
+  /// (estimate_rates over their rate windows) once every window holds
+  /// kTrustedBusyNs, and to their profiles (profile_weights) until then.
+  /// The split reads the windows, so it holds until the devices' next
+  /// kernel.
   [[nodiscard]] AlignmentPlan plan(std::int64_t rows, std::int64_t cols,
                                    std::int64_t start_block_row = 0) const;
-
-  /// The column split the engine would use for `total_cols` columns
-  /// (exposed for tests and the split-balance experiment).
-  [[nodiscard]] std::vector<ColumnRange> plan_partition(
-      std::int64_t total_cols) const;
 
  private:
   struct ResumeSeed;
@@ -206,7 +201,7 @@ class MultiDeviceEngine {
 
   EngineConfig config_;
   std::vector<vgpu::Device*> devices_;
-  std::vector<sw::BlockKernelFn> kernels_;  // resolved once, per device
+  sw::BlockKernelFn kernel_ = nullptr;  // config_.kernel, resolved once
   RunFailure last_failure_;
 };
 

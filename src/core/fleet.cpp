@@ -50,12 +50,11 @@ DeviceFleet::DeviceFleet(const std::vector<vgpu::Device*>& devices)
 }
 
 DeviceFleet DeviceFleet::from_specs(
-    const std::vector<vgpu::DeviceSpec>& specs,
-    vgpu::DeviceOptions options) {
+    const std::vector<vgpu::DeviceSpec>& specs) {
   std::vector<std::unique_ptr<vgpu::Device>> devices;
   devices.reserve(specs.size());
   for (const vgpu::DeviceSpec& spec : specs) {
-    devices.push_back(std::make_unique<vgpu::Device>(spec, options));
+    devices.push_back(std::make_unique<vgpu::Device>(spec));
   }
   return DeviceFleet(std::move(devices));
 }

@@ -73,8 +73,7 @@ class DeviceFleet {
   explicit DeviceFleet(const std::vector<vgpu::Device*>& devices);
 
   /// Convenience: builds and owns one device per spec.
-  static DeviceFleet from_specs(const std::vector<vgpu::DeviceSpec>& specs,
-                                vgpu::DeviceOptions options = {});
+  static DeviceFleet from_specs(const std::vector<vgpu::DeviceSpec>& specs);
 
   DeviceFleet(const DeviceFleet&) = delete;
   DeviceFleet& operator=(const DeviceFleet&) = delete;

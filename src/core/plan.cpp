@@ -14,9 +14,6 @@ AlignmentPlan make_plan(const PlanRequest& request) {
                  "buffer_capacity must be positive");
   MGPUSW_REQUIRE(!request.weights.empty(),
                  "plan needs at least one device weight");
-  MGPUSW_REQUIRE(request.device_kernels.empty() ||
-                     request.device_kernels.size() == request.weights.size(),
-                 "device_kernels must be empty or one entry per device");
   MGPUSW_REQUIRE(request.start_block_row >= 0,
                  "start_block_row must be non-negative");
 
@@ -41,11 +38,6 @@ AlignmentPlan make_plan(const PlanRequest& request) {
     SlicePlan slice;
     slice.slice = ranges[d];
     slice.block_columns = base::div_ceil(ranges[d].cols, request.block_cols);
-    const std::string& override_kernel =
-        request.device_kernels.empty() ? std::string{}
-                                       : request.device_kernels[d];
-    slice.kernel =
-        override_kernel.empty() ? request.default_kernel : override_kernel;
     slice.has_upstream = d > 0;
     slice.has_downstream = d + 1 < ranges.size();
     plan.devices.push_back(std::move(slice));

@@ -3,33 +3,22 @@
 // An AlignmentPlan is a pure value describing one multi-device
 // comparison: matrix geometry, the block grid, the speed-proportional
 // column partition, the channel topology between neighbouring devices,
-// the kernel each device will run, and (for resumed runs) the seed
-// position. Both the real engine (core::MultiDeviceEngine) and the
-// performance model (sim::simulate_pipeline) build their execution from
-// the same plan, so the slice arithmetic exists in exactly one place —
+// and (for resumed runs) the seed position. Both the real engine
+// (core::MultiDeviceEngine) and the performance model
+// (sim::simulate_pipeline) build their execution from the same plan, so
+// the slice arithmetic exists in exactly one place —
 // the engine validates the pipeline computes correct scores, the
 // simulator projects it to paper-scale hardware.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/partition.hpp"
-#include "sw/kernel.hpp"
 #include "vgpu/device.hpp"
 #include "vgpu/spec.hpp"
 
 namespace mgpusw::core {
-
-/// How slice widths are chosen for heterogeneous devices.
-enum class BalanceMode {
-  kEqual,          // equal block-column counts (the naive baseline)
-  kDeviceRate,     // proportional to each device's measured rate window
-                   // once every window holds kTrustedBusyNs, else to
-                   // DeviceSpec::sw_gcups / slowdown for every device
-  kCustomWeights,  // caller-provided weights
-};
 
 enum class Transport {
   kInProcess,  // circular buffer in shared memory
@@ -40,7 +29,6 @@ enum class Transport {
 struct SlicePlan {
   ColumnRange slice;               // contiguous subject columns
   std::int64_t block_columns = 0;  // nbc: block columns in the slice
-  std::string kernel;              // registry name this device runs
   bool has_upstream = false;       // receives border chunks from d-1
   bool has_downstream = false;     // sends border chunks to d+1
 
@@ -48,9 +36,7 @@ struct SlicePlan {
 };
 
 /// Inputs to plan construction. Weights are already resolved to one
-/// positive number per device (see balance_weights / profile_weights);
-/// device_kernels may be empty (everyone runs default_kernel) or hold
-/// one entry per device ("" = default).
+/// positive number per device (see estimate_rates / profile_weights).
 struct PlanRequest {
   std::int64_t rows = 0;  // query length (cells)
   std::int64_t cols = 0;  // subject length (cells)
@@ -58,9 +44,7 @@ struct PlanRequest {
   std::int64_t block_cols = 512;
   std::int64_t buffer_capacity = 16;
   Transport transport = Transport::kInProcess;
-  std::string default_kernel{sw::kDefaultKernel};
   std::vector<double> weights;
-  std::vector<std::string> device_kernels;
   std::int64_t start_block_row = 0;  // > 0 when resuming from a checkpoint
 };
 
@@ -86,19 +70,19 @@ struct AlignmentPlan {
   bool operator==(const AlignmentPlan&) const = default;
 };
 
-/// Builds the plan: derives the block grid, partitions the columns
-/// proportionally to the weights (granularity one block column), and
-/// resolves each device's kernel name (per-device override or default).
+/// Builds the plan: derives the block grid and partitions the columns
+/// proportionally to the weights (granularity one block column).
 /// Throws InvalidArgument on inconsistent requests (non-positive
 /// geometry, too many devices for the matrix, weight count mismatch).
 [[nodiscard]] AlignmentPlan make_plan(const PlanRequest& request);
 
-/// Profile weights straight from device specs (sw_gcups), the simulator's
-/// default split and BalanceMode::kDeviceRate's split on cold devices.
+/// Profile weights straight from device specs (sw_gcups): the simulator's
+/// default split, and the engine's split while any device's rate window
+/// is still below kTrustedBusyNs.
 [[nodiscard]] std::vector<double> profile_weights(
     const std::vector<vgpu::DeviceSpec>& devices);
 
-/// Kernel time a device must have measured before BalanceMode::kDeviceRate
+/// Kernel time a device must have measured before the engine's split
 /// trusts its rate window: below it, two threads of a shared host, or two
 /// slices whose rows differ in how many blocks fall back to a wider
 /// precision, can measure far apart on equal devices.

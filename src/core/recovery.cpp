@@ -162,12 +162,6 @@ RecoveryResult run_with_recovery(const EngineConfig& base_config,
         if (fleet != nullptr) fleet->mark_unhealthy(devices[d]);
         devices.erase(devices.begin() + static_cast<std::ptrdiff_t>(d));
         ordinals.erase(ordinals.begin() + static_cast<std::ptrdiff_t>(d));
-        if (config.balance == BalanceMode::kCustomWeights &&
-            d < config.custom_weights.size()) {
-          config.custom_weights.erase(
-              config.custom_weights.begin() +
-              static_cast<std::ptrdiff_t>(d));
-        }
       }
     }
 

@@ -87,7 +87,7 @@ struct DeviceRunStats {
   std::int64_t pruned_blocks = 0;
   std::int64_t cells = 0;          // actually computed (pruned excluded)
   std::int64_t pruned_cells = 0;   // skipped by block pruning
-  std::int64_t busy_ns = 0;        // kernel time incl. throttle penalty
+  std::int64_t busy_ns = 0;        // kernel time
   std::int64_t recv_stall_ns = 0;  // waiting for upstream border chunks
   std::int64_t send_stall_ns = 0;  // blocked on a full circular buffer
   std::int64_t wall_ns = 0;        // device thread total
@@ -110,7 +110,7 @@ struct DeviceRunStats {
 };
 
 /// The slice-level view of the engine configuration: exactly what a
-/// runner needs, nothing about transports, balancing or device kernels
+/// runner needs, nothing about transports, balancing or kernel names
 /// (those are plan/engine concerns).
 struct RunnerContext {
   sw::ScoreScheme scheme;

@@ -29,6 +29,57 @@ std::uint32_t payload_crc(const std::vector<sw::Score>& h,
   return base::crc32_update(crc, f.data(), f.size() * sizeof(sw::Score));
 }
 
+/// The one parser of the spill format. Reads `in`'s records in order,
+/// handing each intact one to visit(first_col, h, f), until the end of
+/// the file or the first record that is torn, claims more payload than
+/// the file has left, or fails its CRC. Returns that record's fault
+/// ("" when every record parsed) and leaves in `intact_bytes` where the
+/// intact prefix ends. A header's count is checked against the bytes
+/// left before anything is allocated, so a corrupt count cannot ask for
+/// more memory than the file holds.
+template <typename Visit>
+std::string read_records(std::istream& in, std::int64_t& intact_bytes,
+                         Visit&& visit) {
+  in.seekg(0, std::ios::end);
+  const std::int64_t size = in.tellg();
+  in.seekg(0);
+  intact_bytes = 0;
+  constexpr auto kHeaderBytes =
+      static_cast<std::int64_t>(sizeof(RecordHeader));
+  constexpr auto kScoreBytes = static_cast<std::int64_t>(sizeof(sw::Score));
+  while (intact_bytes < size) {
+    RecordHeader header;
+    if (size - intact_bytes < kHeaderBytes ||
+        !in.read(reinterpret_cast<char*>(&header), sizeof(header))) {
+      return "truncated spill record header";
+    }
+    if (header.count < 0 || header.first_col < 0) {
+      return "corrupt spill record header";
+    }
+    const std::int64_t payloads = header.has_f != 0 ? 2 : 1;
+    const std::int64_t left = size - intact_bytes - kHeaderBytes;
+    if (header.count > left / kScoreBytes / payloads) {
+      return "truncated spill record (" + std::to_string(header.count) +
+             " values, " + std::to_string(left) + " bytes left)";
+    }
+    std::vector<sw::Score> h(static_cast<std::size_t>(header.count));
+    std::vector<sw::Score> f(
+        static_cast<std::size_t>(header.has_f != 0 ? header.count : 0));
+    in.read(reinterpret_cast<char*>(h.data()),
+            static_cast<std::streamsize>(h.size() * sizeof(sw::Score)));
+    in.read(reinterpret_cast<char*>(f.data()),
+            static_cast<std::streamsize>(f.size() * sizeof(sw::Score)));
+    if (!in) return "error reading spill record";
+    if (payload_crc(h, f) != header.crc) {
+      return "checksum mismatch (segment at column " +
+             std::to_string(header.first_col) + ")";
+    }
+    intact_bytes += kHeaderBytes + header.count * payloads * kScoreBytes;
+    visit(header.first_col, std::move(h), std::move(f));
+  }
+  return {};
+}
+
 }  // namespace
 
 SpecialRowStore::SpecialRowStore(std::string directory)
@@ -64,33 +115,14 @@ std::vector<SpecialRowStore::Segment> SpecialRowStore::read_from_disk(
   std::ifstream in(row_path(row), std::ios::binary);
   if (!in) throw IoError("cannot open spill file " + row_path(row));
   std::vector<Segment> segments;
-  RecordHeader header;
-  while (in.read(reinterpret_cast<char*>(&header), sizeof(header))) {
-    if (header.count < 0 || header.first_col < 0) {
-      throw IoError("corrupt spill record header in " + row_path(row));
-    }
-    Segment segment;
-    segment.first_col = header.first_col;
-    segment.h.resize(static_cast<std::size_t>(header.count));
-    in.read(reinterpret_cast<char*>(segment.h.data()),
-            static_cast<std::streamsize>(segment.h.size() *
-                                         sizeof(sw::Score)));
-    if (header.has_f != 0) {
-      segment.f.resize(static_cast<std::size_t>(header.count));
-      in.read(reinterpret_cast<char*>(segment.f.data()),
-              static_cast<std::streamsize>(segment.f.size() *
-                                           sizeof(sw::Score)));
-    }
-    if (!in) {
-      throw IoError("truncated spill record in " + row_path(row));
-    }
-    if (payload_crc(segment.h, segment.f) != header.crc) {
-      throw IoError("checksum mismatch in " + row_path(row) +
-                    " (segment at column " +
-                    std::to_string(header.first_col) + ")");
-    }
-    segments.push_back(std::move(segment));
-  }
+  std::int64_t intact_bytes = 0;
+  const std::string fault = read_records(
+      in, intact_bytes,
+      [&](std::int64_t first_col, std::vector<sw::Score> h,
+          std::vector<sw::Score> f) {
+        segments.push_back(Segment{first_col, std::move(h), std::move(f)});
+      });
+  if (!fault.empty()) throw IoError(fault + " in " + row_path(row));
   return segments;
 }
 
@@ -233,38 +265,21 @@ SpecialRowStore::RecoveryReport SpecialRowStore::recover_existing() {
     }
     const std::int64_t row = std::stoll(digits);
 
-    // Walk the record sequence, remembering the end of the last record
-    // that parses and passes its CRC; anything past it is torn.
+    // Keep the longest prefix of intact records; anything past it is
+    // torn.
     const std::string path = entry.path().string();
     std::ifstream in(path, std::ios::binary);
     if (!in) continue;
     std::int64_t good_end = 0;
     std::int64_t payload_bytes = 0;
     std::int64_t segments = 0;
-    RecordHeader header;
-    while (in.read(reinterpret_cast<char*>(&header), sizeof(header))) {
-      if (header.count < 0 || header.first_col < 0 ||
-          header.count > (std::int64_t{1} << 31)) {
-        break;
-      }
-      std::vector<sw::Score> h(static_cast<std::size_t>(header.count));
-      std::vector<sw::Score> f;
-      in.read(reinterpret_cast<char*>(h.data()),
-              static_cast<std::streamsize>(h.size() * sizeof(sw::Score)));
-      if (header.has_f != 0) {
-        f.resize(static_cast<std::size_t>(header.count));
-        in.read(
-            reinterpret_cast<char*>(f.data()),
-            static_cast<std::streamsize>(f.size() * sizeof(sw::Score)));
-      }
-      if (!in || payload_crc(h, f) != header.crc) break;
-      good_end += static_cast<std::int64_t>(
-          sizeof(header) + (h.size() + f.size()) * sizeof(sw::Score));
-      payload_bytes +=
-          static_cast<std::int64_t>((h.size() + f.size()) *
-                                    sizeof(sw::Score));
-      ++segments;
-    }
+    (void)read_records(in, good_end,
+                       [&](std::int64_t, const std::vector<sw::Score>& h,
+                           const std::vector<sw::Score>& f) {
+                         payload_bytes += static_cast<std::int64_t>(
+                             (h.size() + f.size()) * sizeof(sw::Score));
+                         ++segments;
+                       });
     in.close();
 
     const std::int64_t file_size = static_cast<std::int64_t>(

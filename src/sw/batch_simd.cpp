@@ -91,8 +91,8 @@ void run_tier(SimdBackend::BatchGroupFn fn, int lanes,
 }  // namespace
 
 const std::vector<std::string>& batch_kernel_names() {
-  static const std::vector<std::string> names = {"interseq", "interseq8",
-                                                 "interseq16", "scalar"};
+  static const std::vector<std::string> names = {"interseq", "interseq16",
+                                                 "scalar"};
   return names;
 }
 
@@ -103,15 +103,14 @@ std::vector<ScoreResult> batch_align_scores(const ScoreScheme& scheme,
   scheme.validate();
   bool try_i8 = false;
   bool try_i16 = false;
-  if (kernel == "interseq" || kernel == "interseq8") {
+  if (kernel == "interseq") {
     try_i8 = true;
     try_i16 = true;
   } else if (kernel == "interseq16") {
     try_i16 = true;
   } else if (kernel != "scalar") {
     throw InvalidArgument("unknown batch kernel '" + kernel +
-                          "' (registered: interseq, interseq8, interseq16, "
-                          "scalar)");
+                          "' (registered: interseq, interseq16, scalar)");
   }
 
   BatchStats local;

@@ -53,7 +53,6 @@ struct BatchStats {
 
 /// Batch kernel names accepted by batch_align_scores:
 ///   "interseq"    full ladder, int8 first — the default;
-///   "interseq8"   alias of "interseq";
 ///   "interseq16"  int16 first (skips the int8 attempt);
 ///   "scalar"      exact per-pair fallback for every pair (the oracle).
 [[nodiscard]] const std::vector<std::string>& batch_kernel_names();

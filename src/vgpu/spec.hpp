@@ -27,12 +27,6 @@ struct DeviceSpec {
   double pcie_gbytes_per_s = 3.0;  // effective host<->device bandwidth
   double pcie_latency_us = 8.0;    // per-transfer latency
 
-  /// Block kernel this device runs, by registry name (sw::kernel_registry).
-  /// Empty means "use the engine's configured default" — the knob that
-  /// lets a heterogeneous setup pair each device with the traversal that
-  /// suits it.
-  std::string kernel{};
-
   bool operator==(const DeviceSpec&) const = default;
 };
 

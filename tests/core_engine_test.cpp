@@ -26,7 +26,6 @@
 namespace mgpusw {
 namespace {
 
-using core::BalanceMode;
 using core::EngineConfig;
 using core::EngineResult;
 using core::MultiDeviceEngine;
@@ -83,13 +82,6 @@ TEST(EngineConfigTest, RejectsBadConfigs) {
   {
     EngineConfig config = small_config();
     EXPECT_THROW(MultiDeviceEngine(config, {}), InvalidArgument);
-  }
-  {
-    EngineConfig config = small_config();
-    config.balance = BalanceMode::kCustomWeights;
-    config.custom_weights = {1.0, 2.0};  // one device only
-    EXPECT_THROW(MultiDeviceEngine(config, fleet.pointers()),
-                 InvalidArgument);
   }
   {
     EngineConfig config = small_config();
@@ -178,29 +170,6 @@ INSTANTIATE_TEST_SUITE_P(
             MultiDeviceCase{5, 16, 16, 1}),  // deep pipeline, tight buffer
         ::testing::Range(0, 4)));
 
-TEST(EngineTest, EqualBalanceMatchesToo) {
-  DeviceFleet fleet(3);
-  EngineConfig config = small_config();
-  config.balance = BalanceMode::kEqual;
-  MultiDeviceEngine engine(config, fleet.pointers());
-  auto [a, b] = testutil::related_pair(400, 9);
-  EXPECT_EQ(engine.run(a, b).best, linear_score(config.scheme, a, b));
-}
-
-TEST(EngineTest, CustomWeightsRespectedInPartition) {
-  DeviceFleet fleet(2);
-  EngineConfig config = small_config();
-  config.balance = BalanceMode::kCustomWeights;
-  config.custom_weights = {1.0, 3.0};
-  MultiDeviceEngine engine(config, fleet.pointers());
-  const auto ranges = engine.plan_partition(3200);
-  EXPECT_NEAR(static_cast<double>(ranges[1].cols) /
-                  static_cast<double>(ranges[0].cols),
-              3.0, 0.5);
-  auto [a, b] = testutil::related_pair(350, 10);
-  EXPECT_EQ(engine.run(a, b).best, linear_score(config.scheme, a, b));
-}
-
 TEST(EngineTest, TcpTransportEqualsInProcess) {
   DeviceFleet fleet(3);
   EngineConfig config = small_config();
@@ -211,19 +180,6 @@ TEST(EngineTest, TcpTransportEqualsInProcess) {
   const EngineResult result = engine.run(a, b);
   EXPECT_EQ(result.best, expected);
   EXPECT_GT(result.devices[0].bytes_sent, 0);
-}
-
-TEST(EngineTest, ThrottledDevicesStillCorrect) {
-  // Heterogeneity realized through the real-mode throttle.
-  std::vector<std::unique_ptr<vgpu::Device>> devices;
-  devices.push_back(std::make_unique<vgpu::Device>(vgpu::toy_device(10.0)));
-  devices.push_back(std::make_unique<vgpu::Device>(
-      vgpu::toy_device(5.0), vgpu::DeviceOptions{.slowdown = 2.0}));
-  MultiDeviceEngine engine(small_config(),
-                           {devices[0].get(), devices[1].get()});
-  auto [a, b] = testutil::related_pair(250, 12);
-  EXPECT_EQ(engine.run(a, b).best,
-            linear_score(sw::ScoreScheme{}, a, b));
 }
 
 TEST(EngineTest, NonDefaultSchemePropagates) {
@@ -310,12 +266,13 @@ TEST(EngineFuzzTest, RandomConfigurationsAreExact) {
     config.buffer_capacity = rng.next_range(1, 8);
     const auto& registry = sw::kernel_registry();
     config.kernel = registry[rng.next_below(registry.size())].name;
-    config.balance = rng.next_bool(0.5) ? BalanceMode::kDeviceRate
-                                        : BalanceMode::kEqual;
+    // Equal or stepped profiles: fresh devices split by their profiles.
+    const bool equal = rng.next_bool(0.5);
 
     const auto device_count = static_cast<int>(rng.next_range(1, 4));
-    DeviceFleet fleet(device_count, 5.0 + rng.next_double() * 20.0,
-                      rng.next_double() * 10.0);
+    const double base_gcups = 5.0 + rng.next_double() * 20.0;
+    const double gcups_step = rng.next_double() * 10.0;
+    DeviceFleet fleet(device_count, base_gcups, equal ? 0.0 : gcups_step);
 
     const std::int64_t rows = rng.next_range(1, 400);
     // Ensure at least one block column per device.
@@ -350,24 +307,6 @@ TEST(EngineKernelTest, SimdKernelIsExactAcrossDevices) {
   EXPECT_EQ(result.kernel, "simd");
   EXPECT_EQ(result.simd_isa,
             sw::simd_isa_name(sw::detected_simd_isa()));
-}
-
-TEST(EngineKernelTest, PerDeviceSpecOverrideIsExact) {
-  // Heterogeneous kernels: device 0 keeps the engine default (row),
-  // device 1 runs the SIMD kernel on its slice. The split must still be
-  // invisible in the result.
-  std::vector<std::unique_ptr<vgpu::Device>> devices;
-  vgpu::DeviceSpec plain = vgpu::toy_device(10.0);
-  vgpu::DeviceSpec simd = vgpu::toy_device(10.0);
-  simd.kernel = "simd";
-  devices.push_back(std::make_unique<vgpu::Device>(plain));
-  devices.push_back(std::make_unique<vgpu::Device>(simd));
-  const std::vector<vgpu::Device*> ptrs = {devices[0].get(),
-                                           devices[1].get()};
-  MultiDeviceEngine engine(small_config(), ptrs);
-  auto [a, b] = testutil::related_pair(400, 23);
-  EXPECT_EQ(engine.run(a, b).best,
-            linear_score(sw::ScoreScheme{}, a, b));
 }
 
 TEST(EngineKernelTest, LowPrecisionLadderIsExactAndCountsReruns) {
@@ -412,14 +351,6 @@ TEST(EngineKernelTest, NarrowKernelsAreExactAcrossDevices) {
     EXPECT_EQ(result.best, linear_score(config.scheme, a, b)) << kernel;
     EXPECT_EQ(result.kernel, kernel);
   }
-}
-
-TEST(EngineKernelTest, RejectsUnknownPerDeviceKernel) {
-  vgpu::DeviceSpec bad = vgpu::toy_device(10.0);
-  bad.kernel = "tensor-core";
-  vgpu::Device device(bad);
-  const std::vector<vgpu::Device*> ptrs = {&device};
-  EXPECT_THROW(MultiDeviceEngine(small_config(), ptrs), InvalidArgument);
 }
 
 // ---------------------------------------------------------------------------
@@ -576,8 +507,18 @@ TEST(EngineSpecialRowsTest, SavesEveryKthBlockRowAcrossDevices) {
 // ---------------------------------------------------------------------------
 // balance: plan weights from the devices' rate windows
 
+/// The column split the engine plans for a comparison `cols` wide.
+std::vector<core::ColumnRange> split_of(const MultiDeviceEngine& engine,
+                                        std::int64_t cols) {
+  std::vector<core::ColumnRange> split;
+  for (const core::SlicePlan& slice : engine.plan(1, cols).devices) {
+    split.push_back(slice.slice);
+  }
+  return split;
+}
+
 /// Gives every device `busy_ns` of synthetic kernel time at `cells` each
-/// (unthrottled devices pay no penalty, so no time passes).
+/// (accounting only: no time passes).
 void warm(const std::vector<vgpu::Device*>& devices, std::int64_t busy_ns,
           const std::vector<std::int64_t>& cells) {
   for (std::size_t d = 0; d < devices.size(); ++d) {
@@ -603,14 +544,11 @@ TEST(BalanceTest, EstimateRatesEmptyUntilEveryDeviceMeasured) {
 }
 
 TEST(BalanceTest, SpecWeights) {
-  // Cold devices split by spec GCUPS over the throttle.
+  // Cold devices split by spec GCUPS.
   DeviceFleet fleet(2, 10.0, 30.0);
   MultiDeviceEngine engine(small_config(), fleet.pointers());
-  EXPECT_EQ(engine.plan_partition(3200),
+  EXPECT_EQ(split_of(engine, 3200),
             partition_columns(3200, {10.0, 40.0}, 32));
-  fleet.pointers()[1]->set_slowdown(2.0);
-  EXPECT_EQ(engine.plan_partition(3200),
-            partition_columns(3200, {10.0, 20.0}, 32));
 }
 
 TEST(BalanceTest, WarmEqualDevicesSplitEqually) {
@@ -618,11 +556,11 @@ TEST(BalanceTest, WarmEqualDevicesSplitEqually) {
   DeviceFleet fleet(3, 10.0, 10.0);
   MultiDeviceEngine engine(small_config(), fleet.pointers());
   const std::int64_t cols = 9600;
-  EXPECT_EQ(engine.plan_partition(cols),
+  EXPECT_EQ(split_of(engine, cols),
             partition_columns(cols, {10.0, 20.0, 30.0}, 32));
   warm(fleet.pointers(), core::kTrustedBusyNs,
        {5'000'000, 5'000'000, 5'000'000});
-  for (const core::ColumnRange& range : engine.plan_partition(cols)) {
+  for (const core::ColumnRange& range : split_of(engine, cols)) {
     EXPECT_NEAR(static_cast<double>(range.cols), cols / 3.0, 32.0);
   }
 }
@@ -633,75 +571,54 @@ TEST(BalanceTest, OneColdDeviceKeepsSpecWeights) {
   MultiDeviceEngine engine(small_config(), devices);
   warm({devices[0], devices[1]}, core::kTrustedBusyNs, {1'000, 9'000'000});
   devices[2]->account_kernel(core::kTrustedBusyNs - 1, 9'000'000);
-  EXPECT_EQ(engine.plan_partition(9600),
+  EXPECT_EQ(split_of(engine, 9600),
             partition_columns(9600, {10.0, 20.0, 30.0}, 32));
   devices[2]->account_kernel(1, 0);  // now every window is trusted
-  EXPECT_NE(engine.plan_partition(9600),
-            partition_columns(9600, {10.0, 20.0, 30.0}, 32));
+  EXPECT_EQ(split_of(engine, 9600),
+            partition_columns(9600, {1e5, 9e8, 9e8}, 32));  // cells/s
 }
 
-TEST(BalanceTest, ThrottleFallsBackToSpecUntilRemeasured) {
-  DeviceFleet fleet(3);
+TEST(BalanceTest, RunFillsEachDeviceRateWindow) {
+  // The runners report every kernel into their device's window: after
+  // one run on fresh devices, each window holds exactly the cells and
+  // kernel time that device's run stats count.
+  DeviceFleet fleet(3, 10.0, 5.0);
   const std::vector<vgpu::Device*> devices = fleet.pointers();
   MultiDeviceEngine engine(small_config(), devices);
-  warm(devices, core::kTrustedBusyNs, {8'000'000, 8'000'000, 8'000'000});
-  EXPECT_EQ(engine.plan_partition(9600),
-            partition_columns(9600, {1.0, 1.0, 1.0}, 32));
-
-  devices[0]->set_slowdown(4.0);
-  EXPECT_EQ(engine.plan_partition(9600),
-            partition_columns(9600, {2.5, 10.0, 10.0}, 32));
-
-  // 3 ms of kernel time pays a 9 ms penalty: a 12 ms window at a
-  // quarter of the others' cells per ns.
-  devices[0]->account_kernel(3'000'000, 2'400'000);
-  const std::vector<core::ColumnRange> remeasured =
-      engine.plan_partition(9600);
-  EXPECT_EQ(remeasured, partition_columns(9600, {2e8, 8e8, 8e8}, 32));
-  EXPECT_LT(remeasured[0].cols, remeasured[1].cols / 3);
+  auto [a, b] = testutil::related_pair(600, 12);
+  const EngineResult result = engine.run(a, b);
+  ASSERT_EQ(result.devices.size(), devices.size());
+  for (std::size_t d = 0; d < devices.size(); ++d) {
+    const vgpu::RateSample window = devices[d]->rate_window();
+    EXPECT_EQ(window.cells, result.devices[d].cells) << "device " << d;
+    EXPECT_EQ(window.busy_ns, result.devices[d].busy_ns) << "device " << d;
+    EXPECT_GT(window.cells, 0) << "device " << d;
+  }
 }
 
-TEST(BalanceTest, ThrottledDeviceMeasuresSlower) {
-  // Real kernels on an equal split: the 4x-throttled device's window
-  // must read clearly slower. A loaded host adds scheduler noise, so
-  // require only a clear separation (>1.7x).
-  vgpu::Device fast(vgpu::toy_device(10.0));
-  vgpu::Device slow(vgpu::toy_device(10.0),
-                    vgpu::DeviceOptions{.slowdown = 4.0});
-  EngineConfig config = small_config();
-  config.balance = BalanceMode::kEqual;
-  MultiDeviceEngine engine(config, {&fast, &slow});
-  auto [a, b] = testutil::related_pair(1024, 12);
-  (void)engine.run(a, b);
-  const std::vector<double> rates =
-      core::estimate_rates({fast.rate_window(), slow.rate_window()});
-  ASSERT_EQ(rates.size(), 2u);
-  EXPECT_GT(rates[0], rates[1] * 1.7);
-}
-
-// A sequence of runs on the same devices whose split changes from run to
-// run — windows warming, throttles restarting them, measured rates
-// drifting — stays exact whatever the kernel and transport.
+// A sequence of runs whose split changes from run to run — windows
+// warming, fresh devices splitting by profile, measured rates drifting —
+// stays exact whatever the kernel and transport.
 TEST(EngineRateSplitTest, RandomRunSequenceStaysExact) {
   base::Rng rng(20261019);
-  DeviceFleet fleet(3, 10.0, 7.0);
-  const std::vector<vgpu::Device*> devices = fleet.pointers();
+  auto fleet = std::make_unique<DeviceFleet>(3, 10.0, 7.0);
   const std::vector<std::string> kernels = {"auto", "simd", "simd16", "row"};
   std::vector<std::vector<core::ColumnRange>> splits;
   for (int run = 0; run < 12; ++run) {
     switch (rng.next_below(3)) {
       case 0:  // measured rates drift apart
-        for (vgpu::Device* device : devices) {
+        for (vgpu::Device* device : fleet->pointers()) {
           device->account_kernel(core::kTrustedBusyNs,
                                  rng.next_range(1'000'000, 20'000'000));
         }
         break;
-      case 1:  // a throttle change restarts one window: spec for all
-        devices[rng.next_below(devices.size())]->set_slowdown(1.0);
+      case 1:  // fresh devices: cold windows, the profiles' split
+        fleet = std::make_unique<DeviceFleet>(3, 10.0, 7.0);
         break;
       default:  // the previous runs' windows alone
         break;
     }
+    const std::vector<vgpu::Device*> devices = fleet->pointers();
     EngineConfig config = small_config();
     config.kernel = kernels[rng.next_below(kernels.size())];
     if (rng.next_bool(0.5)) {
@@ -712,7 +629,7 @@ TEST(EngineRateSplitTest, RandomRunSequenceStaysExact) {
     auto [a, b] = testutil::related_pair(rng.next_range(200, 400),
                                          rng.next_u64());
     const std::vector<core::ColumnRange> split =
-        engine.plan_partition(b.size());
+        split_of(engine, b.size());
     const EngineResult result = engine.run(a, b);
     SCOPED_TRACE("run " + std::to_string(run) + ": " + config.kernel);
     EXPECT_EQ(result.best, linear_score(config.scheme, a, b));
@@ -804,8 +721,7 @@ TEST(EngineFusedRowTest, RandomDrawsMatchLinearAndPerBlockPath) {
     config.block_cols = rng.next_bool(0.5) ? 128 : rng.next_range(8, 128);
     config.buffer_capacity = rng.next_range(1, 6);
     config.kernel = kernels[rng.next_below(kernels.size())];
-    config.balance =
-        rng.next_bool(0.5) ? BalanceMode::kDeviceRate : BalanceMode::kEqual;
+    const bool equal = rng.next_bool(0.5);  // equal or stepped profiles
     if (rng.next_bool(0.3)) {
       config.transport = Transport::kTcp;
       config.comm_timeout_ms = 5000;
@@ -815,8 +731,9 @@ TEST(EngineFusedRowTest, RandomDrawsMatchLinearAndPerBlockPath) {
       config.checkpoint_f = true;
     }
     const auto device_count = static_cast<int>(rng.next_range(1, 4));
-    DeviceFleet fleet(device_count, 5.0 + rng.next_double() * 20.0,
-                      rng.next_double() * 10.0);
+    const double base_gcups = 5.0 + rng.next_double() * 20.0;
+    const double gcups_step = equal ? 0.0 : rng.next_double() * 10.0;
+    DeviceFleet fleet(device_count, base_gcups, gcups_step);
 
     // A self-comparison on blocks whose width is a multiple of their
     // height runs the optimal path through the block corners on the
@@ -889,22 +806,15 @@ TEST(EngineFusedRowTest, RandomDrawsMatchLinearAndPerBlockPath) {
               kernel_fault_site(per_block, a, b, ordinal));
 
     // A device dies inside a block row (J > 0) and the run recovers.
-    // The block is drawn from a plan, so these runs pin its split (the
-    // cold-device split) rather than read the windows the runs above
-    // filled.
-    std::vector<double> split_weights;
-    for (const vgpu::Device* device : fleet.pointers()) {
-      split_weights.push_back(config.balance == BalanceMode::kEqual
-                                  ? 1.0
-                                  : device->spec().sw_gcups);
-    }
+    // The block is drawn from a plan, so each of these runs gets fresh
+    // devices: their windows are cold and the split is the profiles',
+    // not whatever the runs above measured.
     EngineConfig plan_config;
     plan_config.block_rows = config.block_rows;
     plan_config.block_cols = config.block_cols;
-    plan_config.balance = BalanceMode::kCustomWeights;
-    plan_config.custom_weights = split_weights;
+    const DeviceFleet planning(device_count, base_gcups, gcups_step);
     const core::AlignmentPlan plan =
-        MultiDeviceEngine(plan_config, fleet.pointers()).plan(rows, cols);
+        MultiDeviceEngine(plan_config, planning.pointers()).plan(rows, cols);
     std::vector<int> wide;
     for (int d = 0; d < device_count; ++d) {
       if (plan.devices[static_cast<std::size_t>(d)].block_columns > 1) {
@@ -926,14 +836,13 @@ TEST(EngineFusedRowTest, RandomDrawsMatchLinearAndPerBlockPath) {
       vgpu::FaultInjector injector(vgpu::parse_fault_plan(fault));
       core::SpecialRowStore checkpoints;
       EngineConfig faulty = *path;
-      faulty.balance = BalanceMode::kCustomWeights;
-      faulty.custom_weights = split_weights;
       faulty.fault = &injector;
       if (faulty.special_row_interval > 0) {
         faulty.special_rows = &checkpoints;
       }
+      const DeviceFleet fresh(device_count, base_gcups, gcups_step);
       const core::RecoveryResult recovered =
-          core::run_with_recovery(faulty, fleet.pointers(), a, b);
+          core::run_with_recovery(faulty, fresh.pointers(), a, b);
       EXPECT_EQ(recovered.result.best.score, expected.score) << fault;
       EXPECT_EQ(recovered.restarts, 1) << fault;
       if (!path->enable_pruning) {
@@ -958,13 +867,11 @@ TEST(EngineFusedRowTest, WideSlicesMixPrecisionRunsAndMatchLinear) {
     config.block_cols = 128;
     config.buffer_capacity = rng.next_range(1, 6);
     config.kernel = "auto";
-    config.balance = BalanceMode::kEqual;
     if (rng.next_bool(0.5)) {
       config.special_row_interval = rng.next_range(1, 3);
       config.checkpoint_f = true;
     }
     const auto device_count = static_cast<int>(rng.next_range(1, 3));
-    DeviceFleet fleet(device_count, 10.0, rng.next_double() * 10.0);
     const std::int64_t length =
         device_count * (sw::kAutoSplitCols + rng.next_range(300, 1200));
     const auto [a, b] = testutil::related_pair(
@@ -977,26 +884,30 @@ TEST(EngineFusedRowTest, WideSlicesMixPrecisionRunsAndMatchLinear) {
     // The wedge holds H values far above int8.
     EXPECT_GT(expected.score, 4 * 127);
 
+    // Each run gets fresh equal devices, so each splits equally: every
+    // slice is wider than kAutoSplitCols.
     core::SpecialRowStore fused_store;
     core::SpecialRowStore block_store;
     EngineConfig per_block = config;
     per_block.enable_pruning = true;
+    const DeviceFleet fused_fleet(device_count);
+    const DeviceFleet block_fleet(device_count);
     const RunFootprint fused =
-        run_footprint(config, fleet.pointers(), a, b, fused_store);
+        run_footprint(config, fused_fleet.pointers(), a, b, fused_store);
     const RunFootprint blockwise =
-        run_footprint(per_block, fleet.pointers(), a, b, block_store);
+        run_footprint(per_block, block_fleet.pointers(), a, b, block_store);
     EXPECT_EQ(fused.best, expected);
     EXPECT_EQ(blockwise.best.score, expected.score);
     EXPECT_EQ(fused.blocks, blockwise.blocks);
     EXPECT_EQ(fused.segments_saved, blockwise.segments_saved);
     EXPECT_EQ(fused.special_rows, blockwise.special_rows);
 
-    EngineConfig planning;
-    planning.block_rows = config.block_rows;
-    planning.block_cols = config.block_cols;
-    planning.balance = BalanceMode::kEqual;
+    EngineConfig plan_config;
+    plan_config.block_rows = config.block_rows;
+    plan_config.block_cols = config.block_cols;
+    const DeviceFleet planning(device_count);
     const core::AlignmentPlan plan =
-        MultiDeviceEngine(planning, fleet.pointers())
+        MultiDeviceEngine(plan_config, planning.pointers())
             .plan(static_cast<std::int64_t>(a.size()),
                   static_cast<std::int64_t>(b.size()));
     for (const core::SlicePlan& slice : plan.devices) {

@@ -8,6 +8,7 @@
 #include "base/error.hpp"
 #include "base/math.hpp"
 #include "core/engine.hpp"
+#include "core/partition.hpp"
 #include "core/plan.hpp"
 #include "sim/pipeline_sim.hpp"
 #include "vgpu/device.hpp"
@@ -54,16 +55,6 @@ TEST(PlanTest, SlicesTileTheMatrix) {
   EXPECT_FALSE(plan.devices.back().has_downstream);
 }
 
-TEST(PlanTest, KernelResolution) {
-  PlanRequest request = basic_request();
-  request.default_kernel = "row";
-  request.device_kernels = {"", "simd16", ""};
-  const AlignmentPlan plan = make_plan(request);
-  EXPECT_EQ(plan.devices[0].kernel, "row");
-  EXPECT_EQ(plan.devices[1].kernel, "simd16");
-  EXPECT_EQ(plan.devices[2].kernel, "row");
-}
-
 TEST(PlanTest, ScheduleUnits) {
   // A fresh plan steps every device through all block rows.
   const AlignmentPlan plan = make_plan(basic_request());
@@ -100,11 +91,6 @@ TEST(PlanTest, RejectsBadRequests) {
   }
   {
     PlanRequest request = basic_request();
-    request.device_kernels = {"row"};  // 1 kernel for 3 weights
-    EXPECT_THROW((void)make_plan(request), InvalidArgument);
-  }
-  {
-    PlanRequest request = basic_request();
     request.start_block_row = base::div_ceil(request.rows,
                                              request.block_rows);
     EXPECT_THROW((void)make_plan(request), InvalidArgument);
@@ -125,17 +111,19 @@ TEST(PlanTest, ProfileWeightsReadSpecs) {
 // plan a real engine reports, and both agree on the column split.
 
 TEST(SharedPlanTest, EnginePlanMatchesPartition) {
-  std::vector<std::unique_ptr<vgpu::Device>> owned;
-  owned.push_back(std::make_unique<vgpu::Device>(vgpu::toy_device(10.0)));
-  owned.push_back(std::make_unique<vgpu::Device>(vgpu::toy_device(30.0)));
+  const std::vector<vgpu::DeviceSpec> specs = {vgpu::toy_device(10.0),
+                                               vgpu::toy_device(30.0)};
+  vgpu::Device slow(specs[0]);
+  vgpu::Device fast(specs[1]);
   core::EngineConfig config;
   config.block_rows = 64;
   config.block_cols = 64;
-  core::MultiDeviceEngine engine(config,
-                                 {owned[0].get(), owned[1].get()});
+  core::MultiDeviceEngine engine(config, {&slow, &fast});
 
+  // Fresh devices have measured nothing, so the split is their profiles'.
   const AlignmentPlan plan = engine.plan(2000, 4000);
-  const std::vector<core::ColumnRange> split = engine.plan_partition(4000);
+  const std::vector<core::ColumnRange> split =
+      core::partition_columns(4000, core::profile_weights(specs), 64);
   ASSERT_EQ(plan.device_count(), split.size());
   for (std::size_t d = 0; d < split.size(); ++d) {
     EXPECT_EQ(plan.devices[d].slice, split[d]);
@@ -165,8 +153,8 @@ TEST(SharedPlanTest, SimulatorExecutesEnginePlan) {
   sim_config.devices = specs;
 
   // The engine's plan and the simulator's own derivation must be the
-  // same value: BalanceMode::kSpecGcups uses spec().sw_gcups exactly as
-  // profile_weights does (no slowdown configured here).
+  // same value: devices that have measured nothing split by
+  // profile_weights, the simulator's default split.
   const sim::SimResult from_engine_plan =
       sim::simulate_pipeline(sim_config, plan);
   const sim::SimResult from_config = sim::simulate_pipeline(sim_config);

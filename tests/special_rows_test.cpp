@@ -126,6 +126,33 @@ TEST(SpecialRowsDiskTest, TruncatedRecordFailsLoudly) {
   EXPECT_THROW((void)store.assemble_row(63, 8), IoError);
 }
 
+TEST(SpecialRowsDiskTest, OversizedCountIsRejectedBeforeAllocating) {
+  const std::string dir = make_spill_dir("oversized");
+  core::SpecialRowStore store(dir);
+  store.save_segment(31, 0, {1, 2}, {-1, -1});
+  store.save_segment(63, 0, {3, 4}, {-2, -2});
+  // Rewrite row 63's count (the header's second field) to 2^40 values,
+  // 4 TiB per payload: far more than the file holds, so every reader
+  // must reject the record without allocating for it.
+  const std::string path = dir + "/row_63.srw";
+  {
+    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(file.is_open());
+    file.seekp(sizeof(std::int64_t));
+    const std::int64_t count = std::int64_t{1} << 40;
+    file.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  }
+  EXPECT_THROW((void)store.assemble_row(63, 2), IoError);
+  EXPECT_EQ(store.last_restartable_row(2), 31);
+
+  core::SpecialRowStore revived(dir);
+  const auto report = revived.recover_existing();
+  EXPECT_EQ(report.rows, 1);
+  EXPECT_GT(report.truncated_bytes, 0);
+  EXPECT_EQ(revived.rows(), (std::vector<std::int64_t>{31}));
+  EXPECT_FALSE(std::filesystem::exists(path));  // no intact record left
+}
+
 TEST(SpecialRowsTest, LastRestartableRowPicksNewestIntactCheckpoint) {
   core::SpecialRowStore store;
   store.save_segment(31, 0, {1, 2, 3, 4}, {-1, -1, -1, -1});

@@ -1,12 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <filesystem>
 #include <thread>
 #include <vector>
 
 #include "base/error.hpp"
-#include "base/time.hpp"
 #include "core/fleet.hpp"
 #include "vgpu/device.hpp"
 #include "vgpu/spec.hpp"
@@ -56,35 +54,19 @@ TEST(DeviceTest, KernelAccounting) {
   device.account_kernel(2000, 55);
   EXPECT_EQ(device.kernels_launched(), 2);
   EXPECT_EQ(device.cells_computed(), 12400);
-  EXPECT_GE(device.busy_ns(), 3000);
-}
-
-TEST(DeviceTest, ThrottleAddsPenalty) {
-  vgpu::Device slow(vgpu::toy_device(1.0), {.slowdown = 3.0});
-  base::WallTimer timer;
-  slow.account_kernel(2'000'000, 100);  // 2 ms kernel -> 4 ms penalty
-  const auto elapsed = timer.elapsed_ns();
-  EXPECT_GE(elapsed, 3'500'000);
-  EXPECT_GE(slow.busy_ns(), 5'500'000);
+  EXPECT_EQ(device.busy_ns(), 3000);
 }
 
 // ---------------------------------------------------------------------------
 // rate window
 
-TEST(RateWindowTest, CountsKernelsAndRestartsOnSlowdown) {
+TEST(RateWindowTest, CountsKernels) {
   vgpu::Device device(vgpu::toy_device(1.0));
   EXPECT_EQ(device.rate_window().busy_ns, 0);
   device.account_kernel(1000, 12345);
   device.account_kernel(2000, 55);
   EXPECT_EQ(device.rate_window().cells, 12400);
   EXPECT_EQ(device.rate_window().busy_ns, 3000);
-  device.set_slowdown(2.0);
-  EXPECT_EQ(device.rate_window().cells, 0);  // throttle changed
-  EXPECT_EQ(device.rate_window().busy_ns, 0);
-  EXPECT_EQ(device.cells_computed(), 12400);  // lifetime totals stay
-  device.account_kernel(1000, 100);           // pays a 1000 ns penalty
-  EXPECT_EQ(device.rate_window().cells, 100);
-  EXPECT_EQ(device.rate_window().busy_ns, 2000);
 }
 
 TEST(RateWindowTest, HalvesOnceItSpansMoreThanItsWindow) {
@@ -99,9 +81,8 @@ TEST(RateWindowTest, HalvesOnceItSpansMoreThanItsWindow) {
 
 TEST(RateWindowTest, StaysConsistentUnderConcurrentUse) {
   // Kernels report cells == busy_ns; the window must never show a pair
-  // that breaks it, whatever restarts and reads interleave.
+  // that breaks it, however concurrent kernels and reads interleave.
   vgpu::Device device(vgpu::toy_device(1.0));
-  std::atomic<bool> done{false};
   std::vector<std::thread> kernels;
   for (int t = 0; t < 3; ++t) {
     kernels.emplace_back([&device, t] {
@@ -110,24 +91,14 @@ TEST(RateWindowTest, StaysConsistentUnderConcurrentUse) {
       }
     });
   }
-  std::thread restarts([&device, &done] {
-    while (!done.load()) device.set_slowdown(1.0);
-  });
   int broken = 0;
   for (int i = 0; i < 2000; ++i) {
     const vgpu::RateSample window = device.rate_window();
     if (window.cells != window.busy_ns) ++broken;
   }
   for (std::thread& thread : kernels) thread.join();
-  done.store(true);
-  restarts.join();
   EXPECT_EQ(broken, 0);
   EXPECT_EQ(device.cells_computed(), device.busy_ns());
-}
-
-TEST(DeviceTest, InvalidSlowdownThrows) {
-  EXPECT_THROW(vgpu::Device(vgpu::toy_device(1.0), {.slowdown = 0.5}),
-               InvalidArgument);
 }
 
 TEST(DeviceTest, MemoryTracking) {
